@@ -33,14 +33,13 @@
 //	phasechar -cache .cache \
 //	    -workers-addr 10.0.0.2:8421,10.0.0.3:8421 export
 //
-// Growing a dataset reuses the previous run's cached work: a run with
-// -incremental records a baseline manifest, and a later -incremental run
-// over a superset roster characterizes only the new benchmarks — and,
-// within the -max-pca-drift / -max-centroid-shift tolerances, keeps the
-// cached PCA basis and warm-starts k-means from the cached centroids:
+// Growing a dataset reuses the previous run's cached work: interval
+// vectors are cached per interval, so a run over a larger roster reads
+// every vector an earlier run stored and characterizes only the new
+// benchmarks' intervals:
 //
-//	phasechar -cache .cache -incremental -suites BioPerf,BMW export  # baseline
-//	phasechar -cache .cache -incremental export                      # delta only
+//	phasechar -cache .cache -suites BioPerf,BMW export  # first suites
+//	phasechar -cache .cache export                      # full roster
 //
 // Or run as a long-lived characterization service: a front door that
 // accepts analysis jobs over HTTP, runs them against a shared cache
@@ -140,8 +139,6 @@ func run() (err error) {
 		quotaBurst  = flag.Float64("quota-burst", 0, "with the 'service' target: per-tenant token-bucket burst; 0 disables quotas")
 		quotaRate   = flag.Float64("quota-rate", 1, "with the 'service' target: per-tenant token refill rate (submissions per second)")
 		obsFlags    = cliobs.RegisterObsFlags(flag.CommandLine)
-		incremental = cliobs.RegisterIncremental(flag.CommandLine)
-		incTol      = cliobs.RegisterIncrementalTolerances(flag.CommandLine)
 		corpusFlags = cliobs.RegisterCorpusFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -165,16 +162,6 @@ func run() (err error) {
 	}
 	if corpusFlags.Ingest && corpusFlags.Dir == "" {
 		return fmt.Errorf("-corpus-ingest needs -corpus (the phase database completed jobs accumulate into)")
-	}
-	if *incremental {
-		// A submitted job's cache lives server-side, so submit is exempt
-		// from the local -cache requirement.
-		if *cacheDir == "" && flag.Arg(0) != "submit" {
-			return fmt.Errorf("-incremental needs -cache (the baseline manifest and its reusable artifacts live there)")
-		}
-		if *shardSpec != "" || *mergeN > 0 || *workersAddr != "" {
-			return fmt.Errorf("-incremental tracks a single-process dataset; it cannot combine with -shard, -merge or -workers-addr")
-		}
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -239,13 +226,6 @@ func run() (err error) {
 	cfg.Resume = *resume
 	if *mergeN > 0 {
 		cfg.Shard = core.ShardSpec{Index: 0, Count: *mergeN}
-	}
-	if *incremental {
-		cfg.Incremental = core.IncrementalSpec{
-			Enabled:          true,
-			MaxPCADrift:      incTol.MaxPCADrift,
-			MaxCentroidShift: incTol.MaxCentroidShift,
-		}
 	}
 	cfg.Metrics = m
 	// Run writes the report when the pipeline completes; the deferred
@@ -364,15 +344,14 @@ func run() (err error) {
 			return fmt.Errorf("the submit target needs -server http://host:port (a running 'service')")
 		}
 		spec := serve.JobSpec{
-			Suites:      *suites,
-			Seed:        *seed,
-			Interval:    *interval,
-			Samples:     *samples,
-			Clusters:    *clusters,
-			Prominent:   *prominent,
-			Key:         *key,
-			Workers:     *workers,
-			Incremental: *incremental,
+			Suites:    *suites,
+			Seed:      *seed,
+			Interval:  *interval,
+			Samples:   *samples,
+			Clusters:  *clusters,
+			Prominent: *prominent,
+			Key:       *key,
+			Workers:   *workers,
 		}
 		switch {
 		case *paperScale:
@@ -384,10 +363,6 @@ func run() (err error) {
 			if spec.Models, err = json.Marshal(modelFile); err != nil {
 				return err
 			}
-		}
-		if *incremental {
-			spec.MaxPCADrift = &incTol.MaxPCADrift
-			spec.MaxCentroidShift = &incTol.MaxCentroidShift
 		}
 		client := &serve.Client{Base: *serverURL, Tenant: *tenant}
 		st, err := client.Submit(spec)

@@ -47,18 +47,14 @@ func run() (err error) {
 		all          = flag.Bool("all", false, "with -o: write every interval of the benchmark, in order, to one trace file")
 		workers      = flag.Int("workers", 0, "parallel workers for -all generation (0: GOMAXPROCS; output is worker-count independent)")
 		outFile      = flag.String("o", "", "write a binary trace to this file instead of text to stdout")
-		cacheDir     = flag.String("cache", "", "with -all: also characterize each interval and store its vector in this cache directory, pre-warming later phasechar/micastat runs")
+		cacheDir     = flag.String("cache", "", "with -all: also characterize each interval and store its vector in this cache directory, pre-warming later phasechar/micastat runs (intervals already cached skip the analysis)")
 		models       = flag.String("models", "", "workload-model file or directory of *.json files: loaded suites replace same-named built-in suites and append otherwise")
 		obsFlags     = cliobs.RegisterObsFlags(flag.CommandLine)
-		incremental  = cliobs.RegisterIncremental(flag.CommandLine)
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
 		return fmt.Errorf("expected one benchmark name")
-	}
-	if *incremental && (!*all || *cacheDir == "") {
-		return fmt.Errorf("-incremental requires -all and -cache (it skips re-characterizing intervals whose vectors the cache already holds)")
 	}
 
 	m, finishObs, err := obsFlags.Setup("tracegen")
@@ -90,7 +86,7 @@ func run() (err error) {
 		if *outFile == "" {
 			return fmt.Errorf("-all requires -o (binary traces only)")
 		}
-		return writeAllIntervals(b, total, *n, *workers, *outFile, *cacheDir, *incremental, m)
+		return writeAllIntervals(b, total, *n, *workers, *outFile, *cacheDir, m)
 	}
 	if *cacheDir != "" {
 		return fmt.Errorf("-cache requires -all (it caches whole characterized intervals)")
@@ -141,10 +137,10 @@ func run() (err error) {
 // worker count. With a cache directory, each interval is additionally run
 // through the MICA analyzer and its 69-dim vector stored under the same
 // key core.Characterize uses, so later pipeline runs start cache-warm.
-// In incremental mode an interval whose vector the cache already holds
-// skips the analysis pass entirely (the trace bytes are still written,
-// so the file stays complete and byte-identical).
-func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path, cacheDir string, incremental bool, m *obs.Metrics) error {
+// An interval whose vector the cache already holds skips the analysis
+// pass (a cached vector is the bit-exact analyzer output); its trace
+// bytes are still written, so the file stays complete and byte-identical.
+func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path, cacheDir string, m *obs.Metrics) error {
 	var cache *fcache.Cache
 	if cacheDir != "" {
 		var err error
@@ -165,12 +161,9 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 		seed := b.IntervalSeed(i)
 		var analyzer *mica.Analyzer
 		if cache != nil {
-			if incremental {
-				if _, ok := cache.GetVector(core.VectorKey(beh, seed, perInterval), mica.NumMetrics); ok {
-					reused[i] = true
-				}
-			}
-			if !reused[i] {
+			if _, ok := cache.GetVector(core.VectorKey(beh, seed, perInterval), mica.NumMetrics); ok {
+				reused[i] = true
+			} else {
 				analyzer = analyzers[w]
 				if analyzer == nil {
 					analyzer = mica.NewAnalyzer()
@@ -222,14 +215,14 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 	}
 	fmt.Printf("wrote %d instructions (%d intervals x %d) of %s to %s\n",
 		written, total, perInterval, b.ID(), path)
-	if incremental {
+	if cache != nil {
 		hits := 0
 		for _, r := range reused {
 			if r {
 				hits++
 			}
 		}
-		fmt.Printf("incremental: reused %d cached interval vectors, characterized %d\n", hits, total-hits)
+		fmt.Printf("reused %d cached interval vectors, characterized %d\n", hits, total-hits)
 	}
 	return f.Close()
 }

@@ -208,72 +208,6 @@ func KMeans(data *stats.Matrix, k int, opts Options) (*Result, error) {
 	return out, nil
 }
 
-// Refine warm-starts a single bounded Lloyd fit from the given initial
-// centroids (k = initial.Rows) instead of k-means++ seeding and random
-// restarts — the incremental engine's "the dataset grew a little, the
-// old centroids are almost right" path. The fit runs the exact same
-// lloydIterate core as KMeans (Hamerly bounds, deterministic
-// empty-cluster reseeding, pooled scratch), so it is deterministic and
-// worker-count independent.
-//
-// The second return value is the centroid shift: the largest distance
-// any centroid moved from its initial position, normalized by the root
-// mean squared row norm of data (so it is comparable across datasets;
-// un-normalized when that scale is zero). Callers use it as the
-// warm-start trust gate — a shift above their tolerance means the
-// cached centroids no longer describe the grown dataset and a full
-// restart-searched KMeans is warranted.
-func Refine(data *stats.Matrix, initial *stats.Matrix, opts Options) (*Result, float64, error) {
-	if initial == nil || initial.Rows < 1 {
-		return nil, 0, fmt.Errorf("cluster: refine needs at least 1 initial centroid")
-	}
-	k := initial.Rows
-	if initial.Cols != data.Cols {
-		return nil, 0, fmt.Errorf("cluster: refining %d-dim data from %d-dim centroids", data.Cols, initial.Cols)
-	}
-	if data.Rows < k {
-		return nil, 0, fmt.Errorf("cluster: %d rows cannot form %d clusters", data.Rows, k)
-	}
-	o := opts.withDefaults()
-	o.Metrics.Add("kmeans.refines", 1)
-	iters := o.Metrics.Counter("kmeans.lloyd_iters")
-
-	dataNorm := make([]float64, data.Rows)
-	kernel.RowSquaredNorms(data.Data, data.Rows, data.Cols, dataNorm)
-
-	sc := getScratch(data.Rows, k, data.Cols)
-	copy(sc.centers.Data, initial.Data)
-	res := lloydIterate(data, k, o.MaxIters, o.Workers, iters, dataNorm, sc)
-	res.BIC = bic(data, res)
-
-	var maxMove float64
-	for c := 0; c < k; c++ {
-		if dc := kernel.Distance(initial.Row(c), res.Centers.Row(c)); dc > maxMove {
-			maxMove = dc
-		}
-	}
-	var scale float64
-	for _, v := range dataNorm {
-		scale += v
-	}
-	scale = math.Sqrt(scale / float64(data.Rows))
-	shift := maxMove
-	if scale > 0 {
-		shift = maxMove / scale
-	}
-
-	out := &Result{
-		K:           res.K,
-		Assignments: append([]int(nil), res.Assignments...),
-		Centers:     res.Centers.Clone(),
-		Sizes:       append([]int(nil), res.Sizes...),
-		Inertia:     res.Inertia,
-		BIC:         res.BIC,
-	}
-	scratchPool.Put(sc)
-	return out, shift, nil
-}
-
 // assignFull is the exact Lloyd assignment pass: every row scans every
 // center (kernel.Nearest2Centers, first center wins ties), records its
 // assignment, exact squared distance, and the Hamerly bounds (exact
@@ -412,14 +346,6 @@ func exactAssignedDist2(data, centers *stats.Matrix, dataNorm, centerNorm []floa
 // out before recycling).
 func lloyd(data *stats.Matrix, k, maxIters, workers int, rng *rand.Rand, iters *obs.Counter, dataNorm []float64, sc *lloydScratch) *Result {
 	seedPlusPlus(data, k, rng, sc.centers, sc.dist2)
-	return lloydIterate(data, k, maxIters, workers, iters, dataNorm, sc)
-}
-
-// lloydIterate is the seeding-independent core of lloyd: it iterates to
-// convergence from whatever centers sc.centers already holds. Sharing it
-// between the cold k-means++ path and the warm-start Refine path keeps
-// the two bit-identical whenever they start from the same centers.
-func lloydIterate(data *stats.Matrix, k, maxIters, workers int, iters *obs.Counter, dataNorm []float64, sc *lloydScratch) *Result {
 	n, d := data.Rows, data.Cols
 	centers := sc.centers
 	for i := range sc.assign {

@@ -146,51 +146,6 @@ func TestCharacterizeCorruptCacheRegenerates(t *testing.T) {
 	datasetsBitIdentical(t, cold, healed, "cold vs healed")
 }
 
-// TestCharacterizeMemoBitIdentical pins the in-process dataset memo: a
-// repeat Characterize of the same sample must return a bit-identical
-// dataset, report its rows as cache-served when a cache directory is
-// configured (and as uncached when not), and never let a caller's view
-// of Refs alias the memoized entry.
-func TestCharacterizeMemoBitIdentical(t *testing.T) {
-	refs, cfg := cacheTestSetup(t)
-	// The fresh cache directory is part of the memo key, so the first
-	// run here is a guaranteed memo miss even though other tests
-	// characterize the same sample.
-	cfg.CacheDir = t.TempDir()
-
-	cold, err := Characterize(refs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Characterize(refs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsBitIdentical(t, cold, warm, "cold vs memo-warm")
-	if warm.CacheHits != warm.UniqueIntervals {
-		t.Fatalf("memo-warm run reported %d of %d hits", warm.CacheHits, warm.UniqueIntervals)
-	}
-	if len(warm.Refs) > 0 && &warm.Refs[0] == &cold.Refs[0] {
-		t.Fatal("memo hit aliases the stored Refs slice")
-	}
-
-	// Without a cache directory the CacheHits contract is "0 without a
-	// cache", memo hit or not.
-	cfg.CacheDir = ""
-	first, err := Characterize(refs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Characterize(refs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsBitIdentical(t, first, second, "uncached repeat")
-	if first.CacheHits != 0 || second.CacheHits != 0 {
-		t.Fatalf("uncached runs reported %d and %d hits", first.CacheHits, second.CacheHits)
-	}
-}
-
 // TestTimelineCacheBitIdentical pins the cached timeline path the same
 // way: cold and warm runs must agree bit for bit with the uncached run.
 func TestTimelineCacheBitIdentical(t *testing.T) {

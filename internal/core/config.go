@@ -29,32 +29,6 @@ type ShardSpec struct {
 	Count int
 }
 
-// IncrementalSpec configures the incremental "extend dataset" mode: a
-// run whose benchmark roster is a superset of the latest cached run
-// reuses the cached shard vectors and only characterizes the new rows,
-// and — within the drift/shift tolerances below — reuses the cached PCA
-// eigenbasis (frozen-basis projection) and warm-starts k-means from the
-// cached centroids. With both tolerances at zero the analysis stages
-// always recompute exactly, so the run is byte-identical to a cold full
-// run (only the characterize stage takes the — also exact — delta path).
-type IncrementalSpec struct {
-	// Enabled turns the incremental mode on. Requires Config.CacheDir;
-	// incompatible with sharded (merge) runs.
-	Enabled bool
-	// MaxPCADrift is the frozen-basis gate: the appended rows' mean
-	// relative reconstruction error against the cached eigenbasis
-	// (stats.PCA.ProjectionDrift, in [0,1]). At or below the threshold
-	// the cached basis is reused; above it — or when the threshold is 0,
-	// its zero value — PCA is refit from scratch.
-	MaxPCADrift float64
-	// MaxCentroidShift is the warm-start trust gate: the normalized
-	// centroid movement of a warm-started Lloyd refinement away from the
-	// cached centroids (cluster.Refine's shift). At or below the
-	// threshold the refined clustering is kept; above it — or when the
-	// threshold is 0 — the full restart-searched k-means reruns.
-	MaxCentroidShift float64
-}
-
 // Config holds every knob of the pipeline. DefaultConfig returns the
 // scaled-down equivalents of the paper's settings (see DESIGN.md for the
 // mapping); zero-valued fields of a hand-built Config are filled with the
@@ -117,13 +91,6 @@ type Config struct {
 	// dataset. Requires CacheDir. The merged result is byte-identical to
 	// the single-process run at any worker count and any cache state.
 	Shard ShardSpec
-	// Incremental configures the extend-dataset mode (see
-	// IncrementalSpec). Requires CacheDir when enabled.
-	Incremental IncrementalSpec
-	// MemoBudget bounds the in-process dataset memo (memo.go) by
-	// approximate payload bytes: 0 means the 64 MiB default, a negative
-	// value disables memoization entirely.
-	MemoBudget int64
 	// Resume, when true (requires CacheDir), makes every pipeline stage
 	// check the cache for its own output artifact first: a rerun with the
 	// same config skips each completed stage and recomputes only what is
@@ -258,18 +225,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Resume && c.CacheDir == "" {
 		return fmt.Errorf("core: resume needs a cache directory (stage artifacts live there)")
-	}
-	if c.Incremental.Enabled && c.CacheDir == "" {
-		return fmt.Errorf("core: incremental runs need a cache directory (baseline artifacts live there)")
-	}
-	if c.Incremental.Enabled && c.Shard.Count > 1 {
-		return fmt.Errorf("core: incremental mode is incompatible with sharded runs (the baseline manifest describes a single-process dataset)")
-	}
-	if c.Incremental.MaxPCADrift < 0 {
-		return fmt.Errorf("core: negative PCA drift threshold %v", c.Incremental.MaxPCADrift)
-	}
-	if c.Incremental.MaxCentroidShift < 0 {
-		return fmt.Errorf("core: negative centroid shift threshold %v", c.Incremental.MaxCentroidShift)
 	}
 	return nil
 }

@@ -99,28 +99,24 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
 
-	// Repeat characterizations of the same sample in one process are
-	// served from the in-process memo (see memo.go for what a hit may
-	// and may not shortcut). Observed runs always take the real path.
-	memoKey := datasetKey(refs, cfg)
-	if cfg.Metrics == nil {
-		if ds, ok := lookupDataset(memoKey); ok {
-			return ds, nil
-		}
-	}
-
+	// Refs share a benchmark by pointer (SampleRefs hands out the
+	// registry's), so the pointer identifies it without building its ID.
 	type key struct {
-		id    string
+		b     *bench.Benchmark
 		index int
 	}
-	unique := make(map[key]int) // -> slot in vectors
+	unique := make(map[key]int) // -> row of vectors
+	slot := make([]int, len(refs))
 	var work []IntervalRef
-	for _, r := range refs {
-		k := key{r.Bench.ID(), r.Index}
-		if _, ok := unique[k]; !ok {
-			unique[k] = len(work)
+	for i, r := range refs {
+		k := key{r.Bench, r.Index}
+		s, ok := unique[k]
+		if !ok {
+			s = len(work)
+			unique[k] = s
 			work = append(work, r)
 		}
+		slot[i] = s
 	}
 
 	var cache *fcache.Cache
@@ -137,38 +133,36 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 	}
 
 	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
-	for i, r := range refs {
-		copy(raw.Row(i), vectors[unique[key{r.Bench.ID(), r.Index}]])
+	for i, s := range slot {
+		copy(raw.Row(i), vectors.Row(s))
 	}
-	ds := &Dataset{
+	return &Dataset{
 		Refs:            append([]IntervalRef(nil), refs...),
 		Raw:             raw,
 		UniqueIntervals: len(work),
 		Instructions:    instructions,
 		CacheHits:       cacheHits,
-	}
-	storeDataset(memoKey, ds, cfg.MemoBudget)
-	return ds, nil
+	}, nil
 }
 
 // characterizeUnique is the characterization kernel shared by the
 // whole-dataset path (Characterize) and the engine's shard path: it
 // generates and measures the given already-deduplicated intervals and
-// returns one vector per interval, the instruction total, and the
-// vector-cache hit count.
-func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) ([][]float64, uint64, int, error) {
+// returns their vectors (one row per interval), the instruction total,
+// and the vector-cache hit count.
+func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) (*stats.Matrix, uint64, int, error) {
 	span := cfg.Metrics.StartSpan("characterize").SetRows(len(work)).SetWorkers(par.Workers(cfg.Workers))
 	defer span.End()
 
 	// Fan the unique intervals out over the par worker pool. Analyzers
 	// are heavy, so each worker keeps one (plus a reusable generation
 	// batch buffer) and resets it per interval; every interval writes
-	// only its own vectors/errs slot and the per-worker instruction and
+	// only its own vectors row/errs slot and the per-worker instruction and
 	// cache-hit counts are integers, so the dataset is identical for any
 	// worker count — and, because a cached vector is the bit-exact stored
 	// output of the same kernel, for any cache state.
 	workers := par.Workers(cfg.Workers)
-	vectors := make([][]float64, len(work))
+	vectors := stats.NewMatrix(len(work), mica.NumMetrics)
 	errs := make([]error, len(work))
 	analyzers := make([]*mica.Analyzer, workers)
 	buffers := make([][]isa.Instruction, workers)
@@ -181,8 +175,7 @@ func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) ([]
 		var key fcache.Key
 		if cache != nil {
 			key = VectorKey(beh, seed, cfg.IntervalLength)
-			if v, ok := cache.GetVector(key, mica.NumMetrics); ok {
-				vectors[i] = v
+			if cache.GetVectorInto(key, vectors.Row(i)) {
 				instrParts[w] += uint64(cfg.IntervalLength)
 				hitParts[w]++
 				return
@@ -200,11 +193,11 @@ func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) ([]
 			errs[i] = fmt.Errorf("core: interval %s: %w", r, err)
 			return
 		}
-		vectors[i] = analyzer.Vector()
+		analyzer.VectorInto(vectors.Row(i))
 		instrParts[w] += analyzer.Total()
 		if cache != nil {
 			// Best-effort: a failed write only costs regeneration later.
-			_ = cache.PutVector(key, vectors[i])
+			_ = cache.PutVector(key, vectors.Row(i))
 		}
 	})
 	if err := par.FirstError(errs); err != nil {

@@ -42,14 +42,11 @@ type engine struct {
 	cfg   Config
 	cache *fcache.Cache // nil when no cache directory is configured
 	keys  *artifactKeys // nil iff cache is nil
-	delta *deltaPlan    // non-nil iff an extend-dataset plan applies
 	logf  func(format string, args ...any)
 }
 
 // newEngine opens the cache (when configured) and precomputes the
-// artifact key chain. refs must be the run's sampled dataset. With
-// incremental mode enabled it also resolves the extend-dataset plan
-// against the cached baseline manifest (see incremental.go).
+// artifact key chain. refs must be the run's sampled dataset.
 func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(string, ...any)) (*engine, error) {
 	e := &engine{reg: reg, cfg: cfg, logf: logf}
 	if cfg.CacheDir != "" {
@@ -60,12 +57,6 @@ func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(st
 		cache.SetMetrics(cfg.Metrics)
 		e.cache = cache
 		e.keys = newArtifactKeys(reg, cfg, len(refs))
-		if cfg.Incremental.Enabled && cfg.Shard.Count <= 1 {
-			e.delta = e.planDelta()
-			if e.delta == nil {
-				cfg.Metrics.Add("engine.delta_inapplicable", 1)
-			}
-		}
 	}
 	return e, nil
 }
@@ -103,7 +94,7 @@ func (e *engine) summaryKey() fcache.Key {
 }
 
 // markStage counts one stage completion in the engine counters; mode is
-// "computed", "resumed" or "delta".
+// "computed" or "resumed".
 func (e *engine) markStage(name, mode string) {
 	e.cfg.Metrics.Add("engine.stages_"+mode, 1)
 	e.cfg.Metrics.Add("engine."+mode+"."+name, 1)
@@ -202,7 +193,7 @@ func (e *engine) computeShard(p shardPlan) (*shardArtifact, int, error) {
 		sb := shardBench{id: id, indices: make([]int, 0, j-i), vectors: stats.NewMatrix(j-i, mica.NumMetrics)}
 		for r := i; r < j; r++ {
 			sb.indices = append(sb.indices, work[r].Index)
-			copy(sb.vectors.Row(r-i), vectors[r])
+			copy(sb.vectors.Row(r-i), vectors.Row(r))
 		}
 		art.benches = append(art.benches, sb)
 		i = j
@@ -277,34 +268,6 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, bool, error) {
 	if len(refs) == 0 {
 		return nil, false, fmt.Errorf("core: no intervals to characterize")
 	}
-	// Unsharded, uncached, unobserved runs share the in-process dataset
-	// memo with Characterize (see memo.go): repeat pipeline runs over
-	// the same sample in one process skip the substrate regeneration.
-	// Any cache, shard or metrics involvement takes the real path so
-	// artifact, resume and observability semantics stay exact.
-	memoable := e.cache == nil && e.cfg.Metrics == nil && e.cfg.Shard.Count <= 1
-	var memoKey datasetMemoKey
-	if memoable {
-		memoKey = datasetKey(refs, e.cfg)
-		if ds, ok := lookupDataset(memoKey); ok {
-			e.markStage("characterize", "computed")
-			return ds, false, nil
-		}
-	}
-	if e.delta != nil {
-		ds, ok, err := e.characterizeDelta(refs)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return ds, false, nil
-		}
-		// A baseline artifact could not be served: abandon the whole delta
-		// plan (the analysis fast path depends on the same baseline) and
-		// recompute cold — cache trouble recomputes, it never fails.
-		e.delta = nil
-		e.cfg.Metrics.Add("engine.delta_fallback.characterize", 1)
-	}
 	plans := e.planShards(refs)
 	arts := make([]*shardArtifact, len(plans))
 	resumed := true
@@ -364,17 +327,13 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, bool, error) {
 		copy(raw.Row(i), v)
 	}
 	mergeSpan.End()
-	ds := &Dataset{
+	return &Dataset{
 		Refs:            append([]IntervalRef(nil), refs...),
 		Raw:             raw,
 		UniqueIntervals: unique,
 		Instructions:    instructions,
 		CacheHits:       cacheHits,
-	}
-	if memoable {
-		storeDataset(memoKey, ds, e.cfg.MemoBudget)
-	}
-	return ds, resumed, nil
+	}, resumed, nil
 }
 
 // ShardInfo summarizes one CharacterizeShard invocation.

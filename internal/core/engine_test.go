@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
@@ -199,6 +200,65 @@ func TestResumeSkipsStages(t *testing.T) {
 	datasetsBitIdentical(t, first.Dataset, second.Dataset, "computed vs resumed")
 	if !bytes.Equal(exportJSON(t, first), exportJSON(t, second)) {
 		t.Fatal("resume changed the exported result")
+	}
+}
+
+// subRegistry returns reg minus the named benchmark: the roster before
+// an append.
+func subRegistry(t *testing.T, reg *bench.Registry, drop string) *bench.Registry {
+	t.Helper()
+	var keep []*bench.Benchmark
+	for _, b := range reg.All() {
+		if b.Name != drop {
+			keep = append(keep, b)
+		}
+	}
+	if len(keep) == reg.Len() {
+		t.Fatalf("benchmark %q not in registry", drop)
+	}
+	sub, err := bench.NewRegistry(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// TestWarmCacheAppendByteIdentical appends a benchmark over a warm
+// interval-vector cache: the grown run must read every baseline vector
+// from the cache, characterize only what the cache lacks, and export
+// byte-identically to a cold run over the grown roster.
+func TestWarmCacheAppendByteIdentical(t *testing.T) {
+	reg := miniRegistry(t)
+	cfg := miniConfig()
+	cfg.NumClusters = 4 // the sub-roster has fewer sampled rows
+	cfg.NumProminent = 4
+
+	cold, err := Run(reg, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := cfg
+	warm.CacheDir = t.TempDir()
+	base, err := Run(subRegistry(t, reg, "f2"), warm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := obs.New()
+	warm.Metrics = m
+	res, err := Run(reg, warm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exportJSON(t, cold), exportJSON(t, res)) {
+		t.Fatal("warm-cache append export differs from the cold run")
+	}
+	if got := m.Counter("fcache.hits.vector").Value(); got < int64(base.Dataset.UniqueIntervals) {
+		t.Fatalf("fcache.hits.vector = %d, want every one of the baseline's %d vectors", got, base.Dataset.UniqueIntervals)
+	}
+	if got := m.Counter("fcache.misses.vector").Value(); got == 0 {
+		t.Fatal("the appended benchmark was served entirely from the cache")
 	}
 }
 

@@ -82,8 +82,7 @@ func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, 
 		var key fcache.Key
 		if cache != nil {
 			key = VectorKey(beh, seed, cfg.IntervalLength)
-			if v, ok := cache.GetVector(key, mica.NumMetrics); ok {
-				copy(vectors.Row(i), v)
+			if cache.GetVectorInto(key, vectors.Row(i)) {
 				return
 			}
 		}
@@ -98,7 +97,7 @@ func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, 
 			errs[i] = err
 			return
 		}
-		copy(vectors.Row(i), analyzer.Vector())
+		analyzer.VectorInto(vectors.Row(i))
 		if cache != nil {
 			_ = cache.PutVector(key, vectors.Row(i))
 		}

@@ -86,8 +86,6 @@ func TestKindNames(t *testing.T) {
 		KindCluster:  "cluster",
 		KindSummary:  "summary",
 		KindTimeline: "timeline",
-		KindBaseline: "baseline",
-		KindRunning:  "running",
 	}
 	if len(want) != int(maxKind) {
 		t.Fatalf("test covers %d kinds, maxKind = %d — update both", len(want), maxKind)

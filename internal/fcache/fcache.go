@@ -69,17 +69,12 @@ const (
 	KindSummary uint16 = 7
 	// KindTimeline is a per-benchmark phase-timeline analysis.
 	KindTimeline uint16 = 8
-	// KindBaseline is the incremental engine's baseline manifest: the
-	// benchmark roster and analysis lineage of the latest cached run
-	// under a given set of sampling parameters.
-	KindBaseline uint16 = 9
-	// KindRunning is a merge-able running-statistics accumulator (a
-	// stats.Running plus its fold ledger) for cumulative timeline
-	// summaries.
-	KindRunning uint16 = 10
+	// Kinds 9 and 10 are retired (a baseline manifest and a running-
+	// statistics accumulator) and must never be reused: keys carry the
+	// kind, so stale entries of those kinds are simply never read.
 
 	// maxKind bounds the per-kind counter table; bump alongside new kinds.
-	maxKind = KindRunning
+	maxKind = KindTimeline
 )
 
 // KindName returns the short lower-case name of an artifact kind, used to
@@ -102,10 +97,6 @@ func KindName(kind uint16) string {
 		return "summary"
 	case KindTimeline:
 		return "timeline"
-	case KindBaseline:
-		return "baseline"
-	case KindRunning:
-		return "running"
 	default:
 		return fmt.Sprintf("kind%d", kind)
 	}
@@ -154,6 +145,8 @@ func (k Key) hash() uint64 {
 // use Open.
 type Cache struct {
 	dir string
+	// root is the cleaned dir that entry paths are built under.
+	root string
 	// hot is the directory's shared in-memory payload tier (see hot.go);
 	// nil unless EnableHotTier was called for dir.
 	hot *hotTier
@@ -211,7 +204,7 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fcache: %w", err)
 	}
-	c := &Cache{dir: dir, hot: hotFor(dir)}
+	c := &Cache{dir: dir, root: filepath.Clean(dir), hot: hotFor(dir)}
 	if _, seen := sweptDirs.LoadOrStore(dir, struct{}{}); !seen {
 		c.swept = sweepStaleTemps(dir)
 	}
@@ -292,14 +285,36 @@ func sweepStaleTemps(dir string) int64 {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
+// pathBufSize is the stack buffer an entry path is built in; only a
+// longer cache directory makes building a path allocate.
+const pathBufSize = 256
+
 // path returns the entry file for a key: two single-byte hex levels fan
 // entries out so no directory grows unboundedly.
 func (c *Cache) path(k Key) string {
+	var buf [pathBufSize]byte
+	return string(c.appendPath(buf[:0], k))
+}
+
+// appendPath appends the entry file path for k to dst.
+func (c *Cache) appendPath(dst []byte, k Key) []byte {
 	h := k.hash()
-	return filepath.Join(c.dir,
-		fmt.Sprintf("%02x", byte(h>>56)),
-		fmt.Sprintf("%02x", byte(h>>48)),
-		fmt.Sprintf("%016x.fc", h))
+	dst = append(dst, c.root...)
+	if !os.IsPathSeparator(dst[len(dst)-1]) {
+		dst = append(dst, filepath.Separator)
+	}
+	dst = append(appendHex(dst, uint64(byte(h>>56)), 2), filepath.Separator)
+	dst = append(appendHex(dst, uint64(byte(h>>48)), 2), filepath.Separator)
+	return append(appendHex(dst, h, 16), ".fc"...)
+}
+
+// appendHex appends the low width hex digits of v, zero-padded.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>shift&0xf])
+	}
+	return dst
 }
 
 // fnv1a is the 64-bit FNV-1a checksum of b.
@@ -372,7 +387,7 @@ func decode(k Key, buf []byte) ([]byte, error) {
 // collector installed the removal is visible as fcache.corrupt_deleted
 // rather than silent.
 func (c *Cache) Get(k Key) (payload []byte, ok bool) {
-	payload, ok = c.get(k)
+	payload, ok = c.get(k, nil)
 	if ok {
 		c.countHit(k.Kind)
 	} else {
@@ -384,8 +399,11 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 // get is Get without the hit/miss accounting, shared with GetVector
 // (which has its own extra validity check and counts on its own). With a
 // hot tier enabled, resident payloads are served from memory; disk hits
-// warm the tier on the way out.
-func (c *Cache) get(k Key) (payload []byte, ok bool) {
+// warm the tier on the way out. A nil scratch reads a disk entry into a
+// fresh buffer the caller owns (zero-copy artifact decoders keep it);
+// otherwise into scratch's backing array, grown only if the entry does
+// not fit, and the payload aliases it.
+func (c *Cache) get(k Key, scratch []byte) (payload []byte, ok bool) {
 	if p, ok := c.hot.get(k); ok {
 		c.hotHits.Inc()
 		return p, true
@@ -393,15 +411,22 @@ func (c *Cache) get(k Key) (payload []byte, ok bool) {
 	if c.hot != nil {
 		c.hotMisses.Inc()
 	}
-	p := c.path(k)
-	buf, err := os.ReadFile(p)
+	var pathBuf [pathBufSize]byte
+	p := c.appendPath(pathBuf[:0], k)
+	var buf []byte
+	var err error
+	if scratch == nil {
+		buf, err = os.ReadFile(string(p))
+	} else {
+		buf, err = readFileInto(p, scratch)
+	}
 	if err != nil {
 		return nil, false
 	}
 	c.bytesRead.Add(int64(len(buf)))
 	payload, err = decode(k, buf)
 	if err != nil {
-		os.Remove(p) // never trust it again
+		os.Remove(string(p)) // never trust it again
 		c.hot.drop(k)
 		c.corrupt.Inc()
 		if errors.Is(err, ErrVersionSkew) {
@@ -466,22 +491,39 @@ func (c *Cache) Discard(k Key) {
 // GetVector fetches a cached float64 vector of exactly want elements.
 // A stored vector of any other size is treated as corrupt (miss).
 func (c *Cache) GetVector(k Key, want int) ([]float64, bool) {
-	payload, ok := c.get(k)
-	if !ok {
-		c.countMiss(k.Kind)
+	v := make([]float64, want)
+	if !c.GetVectorInto(k, v) {
 		return nil, false
 	}
-	if len(payload) != 8*want {
+	return v, true
+}
+
+// vectorScratchSize is the stack buffer a vector entry is read into: the
+// header, 8 bytes per element and the checksum of a 69-element vector
+// fit with room to spare.
+const vectorScratchSize = 1024
+
+// GetVectorInto is GetVector decoding into dst, which must hold exactly
+// the stored vector's elements; dst is left untouched on a miss. The
+// entry is read through a stack buffer, so a cache-warm run allocates
+// nothing per vector.
+func (c *Cache) GetVectorInto(k Key, dst []float64) bool {
+	var scratch [vectorScratchSize]byte
+	payload, ok := c.get(k, scratch[:0])
+	if !ok {
+		c.countMiss(k.Kind)
+		return false
+	}
+	if len(payload) != 8*len(dst) {
 		os.Remove(c.path(k))
 		c.hot.drop(k)
 		c.corrupt.Inc()
 		c.countMiss(k.Kind)
-		return nil, false
+		return false
 	}
 	c.countHit(k.Kind)
-	v := make([]float64, want)
-	kernel.CopyFloats(v, payload)
-	return v, true
+	kernel.CopyFloats(dst, payload)
+	return true
 }
 
 // PutVector stores a float64 vector (bit-exact: values round-trip through
@@ -508,7 +550,7 @@ func (c *Cache) PutBinary(k Key, v encoding.BinaryMarshaler) error {
 // fcache.corrupt_deleted) so the producing stage regenerates them instead
 // of failing.
 func (c *Cache) GetBinary(k Key, v encoding.BinaryUnmarshaler) bool {
-	payload, ok := c.get(k)
+	payload, ok := c.get(k, nil)
 	if !ok {
 		c.countMiss(k.Kind)
 		return false

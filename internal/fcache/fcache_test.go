@@ -68,6 +68,65 @@ func TestVectorRoundTripBitExact(t *testing.T) {
 	}
 }
 
+// TestGetVectorIntoHitAndMiss pins the cache-warm read path: a hit
+// decodes straight into the caller's slice, and a miss leaves the slice
+// untouched. (Its allocation count is gated by BenchmarkCharacterizeCached
+// in scripts/verify.sh.)
+func TestGetVectorIntoHitAndMiss(t *testing.T) {
+	c := testCache(t)
+	k := testKey()
+	v := []float64{1, 2, 3, math.Pi}
+	if err := c.PutVector(k, v); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, len(v))
+	if !c.GetVectorInto(k, dst) {
+		t.Fatal("stored vector not found")
+	}
+	for i := range v {
+		if dst[i] != v[i] {
+			t.Fatalf("element %d = %v, want %v", i, dst[i], v[i])
+		}
+	}
+	miss := k
+	miss.Seed++
+	dst[0] = -1
+	if c.GetVectorInto(miss, dst) || dst[0] != -1 {
+		t.Fatal("a miss reported a hit or wrote into dst")
+	}
+}
+
+// TestGetVectorIntoLargeEntryAndLongDir covers the read path's slow
+// cases: an entry larger than the stack scratch buffer and a cache
+// directory too long for the stack path buffer.
+func TestGetVectorIntoLargeEntryAndLongDir(t *testing.T) {
+	dir := t.TempDir()
+	for len(dir) <= pathBufSize {
+		dir = filepath.Join(dir, "a-long-directory-name-for-the-cache")
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey()
+	v := make([]float64, vectorScratchSize/8+10)
+	for i := range v {
+		v[i] = float64(i) / 7
+	}
+	if err := c.PutVector(k, v); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.GetVector(k, len(v))
+	if !ok {
+		t.Fatal("large vector not found")
+	}
+	for i := range v {
+		if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
+			t.Fatalf("element %d differs", i)
+		}
+	}
+}
+
 func TestKeyFieldsDisambiguate(t *testing.T) {
 	c := testCache(t)
 	base := testKey()

@@ -293,8 +293,16 @@ func (a *Analyzer) Total() uint64 { return a.total }
 // Stride-bucket metrics are cumulative probabilities P(|stride| <= bound).
 func (a *Analyzer) Vector() []float64 {
 	v := make([]float64, NumMetrics)
+	a.VectorInto(v)
+	return v
+}
+
+// VectorInto is Vector writing into v, which must hold NumMetrics
+// elements.
+func (a *Analyzer) VectorInto(v []float64) {
+	clear(v)
 	if a.total == 0 {
-		return v
+		return
 	}
 	ftotal := float64(a.total)
 
@@ -341,7 +349,6 @@ func (a *Analyzer) Vector() []float64 {
 			idx++
 		}
 	}
-	return v
 }
 
 // fillCumulative writes the cumulative probabilities of the first n bins of

@@ -76,10 +76,6 @@ type SpanRecord struct {
 	// Resumed marks a stage that was served from a persisted artifact
 	// instead of being computed (the pipeline engine's resume path).
 	Resumed bool `json:"resumed,omitempty"`
-	// Delta marks a stage that took the incremental engine's delta path:
-	// computed against cached baseline artifacts rather than from scratch
-	// (and not a straight artifact load, which is Resumed).
-	Delta bool `json:"delta,omitempty"`
 }
 
 // Metrics collects one run's counters and spans. Use New; a nil *Metrics
@@ -148,7 +144,6 @@ type Span struct {
 	workers int
 	bytes   int64
 	resumed bool
-	delta   bool
 }
 
 // StartSpan begins timing a named stage. End records it.
@@ -193,15 +188,6 @@ func (s *Span) SetResumed(resumed bool) *Span {
 	return s
 }
 
-// SetDelta marks the span's stage as computed on the incremental delta
-// path (from cached baseline artifacts plus only the new rows).
-func (s *Span) SetDelta(delta bool) *Span {
-	if s != nil {
-		s.delta = delta
-	}
-	return s
-}
-
 // End completes the span and appends it to the run's span list. Calling
 // End more than once records the span more than once; don't.
 func (s *Span) End() {
@@ -217,7 +203,6 @@ func (s *Span) End() {
 		Workers:      s.workers,
 		Bytes:        s.bytes,
 		Resumed:      s.resumed,
-		Delta:        s.delta,
 	}
 	s.m.mu.Lock()
 	s.m.spans = append(s.m.spans, rec)
@@ -312,9 +297,6 @@ func (m *Metrics) Summary() string {
 		}
 		if s.Resumed {
 			b.WriteString("  (resumed)")
-		}
-		if s.Delta {
-			b.WriteString("  (delta)")
 		}
 		b.WriteByte('\n')
 	}

@@ -142,22 +142,18 @@ func keysOf(m map[string]obs.HistogramStats) []string {
 	return out
 }
 
-// TestServiceMatchesIncrementalAppend drives the PR-7 incremental path
-// through the front door: a baseline job over a sub-roster, then an
-// incremental append over a larger one, each byte-identical to its
-// one-shot equivalent.
-func TestServiceMatchesIncrementalAppend(t *testing.T) {
+// TestServiceMatchesWarmAppend appends suites through the front door: a
+// baseline job over a sub-roster, then a job over a larger roster that
+// reads the baseline's interval vectors from the shared cache. Each
+// result must be byte-identical to its one-shot export.
+func TestServiceMatchesWarmAppend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
 	}
-	base := JobSpec{Preset: "quick", Suites: "BioPerf", Clusters: 8, Prominent: 5, Incremental: true}
-	grown := JobSpec{Preset: "quick", Suites: "BioPerf,BMW", Clusters: 8, Prominent: 5, Incremental: true}
-	// The reference is the PLAIN one-shot export of the grown roster:
-	// the incremental engine's invariant is that the delta path changes
-	// where the work happens, never the bytes.
-	plain := grown
-	plain.Incremental = false
-	wantGrown := oneShotExport(t, plain)
+	base := JobSpec{Preset: "quick", Suites: "BioPerf", Clusters: 8, Prominent: 5}
+	grown := JobSpec{Preset: "quick", Suites: "BioPerf,BMW", Clusters: 8, Prominent: 5}
+	wantBase := oneShotExport(t, base)
+	wantGrown := oneShotExport(t, grown)
 
 	m := obs.New()
 	_, c := testServer(t, Config{Workers: 1, HotBytes: 64 << 20, Metrics: m})
@@ -166,19 +162,23 @@ func TestServiceMatchesIncrementalAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Result(st.ID, true); err != nil {
+	got, err := c.Result(st.ID, true)
+	if err != nil {
 		t.Fatalf("baseline job: %v", err)
+	}
+	if !bytes.Equal(got, wantBase) {
+		t.Fatalf("baseline job differs from one-shot export (%d vs %d bytes)", len(got), len(wantBase))
 	}
 	st, err = c.Submit(grown)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Result(st.ID, true)
+	got, err = c.Result(st.ID, true)
 	if err != nil {
 		t.Fatalf("append job: %v", err)
 	}
 	if !bytes.Equal(got, wantGrown) {
-		t.Fatalf("incremental append via service differs from one-shot export (%d vs %d bytes)", len(got), len(wantGrown))
+		t.Fatalf("warm append via service differs from one-shot export (%d vs %d bytes)", len(got), len(wantGrown))
 	}
 	var rep obs.Report
 	raw, err := c.Metrics()
@@ -188,7 +188,7 @@ func TestServiceMatchesIncrementalAppend(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Counters["engine.delta.characterize"] == 0 {
-		t.Fatal("append job did not take the delta characterize path")
+	if rep.Counters["fcache.hits.vector"] == 0 {
+		t.Fatal("append job read no interval vectors from the baseline's cache")
 	}
 }

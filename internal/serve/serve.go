@@ -4,8 +4,8 @@
 // results back. One process serves many tenants; what makes that safe
 // and fast is layered below this package — admission control and
 // per-tenant quotas here, the in-memory hot tier and per-key
-// singleflight in fcache, stage artifacts and the incremental delta
-// path in core. A job's result is byte-identical to the one-shot CLI
+// singleflight in fcache, the interval-vector cache and stage artifacts
+// in core. A job's result is byte-identical to the one-shot CLI
 // export for the same spec: the service changes where the pipeline
 // runs, never what it computes.
 //

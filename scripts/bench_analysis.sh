@@ -13,10 +13,9 @@
 # to a single workers=1 entry on single-core machines), and the
 # measurement kernel itself: BenchmarkCharacterize (cold generate+measure,
 # ns/instruction and instructions/s) and BenchmarkCharacterizeCached (the
-# same run served entirely from a warm interval-vector cache), and the
-# incremental engine: BenchmarkCharacterizeAppend prices a one-benchmark
-# append onto a cached baseline (delta characterize + frozen-basis PCA +
-# warm-started k-means) against the cold full-roster control as an
+# same run served entirely from a warm interval-vector cache), and
+# BenchmarkCharacterizeAppend, which prices a one-benchmark append over a
+# cache warmed by the other 76 against the cold full-roster control as an
 # interleaved pair. All of them produce byte-identical results at any
 # worker count and cache state, so the comparison is pure wall-clock.
 set -eu
@@ -62,7 +61,7 @@ END {
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm (in-process dataset memo over the interval-vector cache). Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch), Fig1GASweep paired-median 4.7x (range 4.1-6.7x; dataset memo removes the repeated trace substrate, ~22%% Jacobi now flat+workspaced, GA fitness on pooled PCA workspaces), CharacterizeCached ~55x ns/op and ~107x B/op (2.06 MB -> 19 kB, 16334 -> 2 allocs/op). Fig1 decomposition pre-memo: ~65%% trace substrate, ~22%% JacobiEigen. BenchmarkCharacterizeAppend/{cold,incremental} is an interleaved pair: incremental restores an N-1 baseline off the clock, then times a true one-benchmark append; the reported delta-stages (want 4) and reused-rows prove the fast path ran instead of silently falling back cold. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
+    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the interval-vector cache, each vector read straight into the dataset. Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch). BenchmarkCharacterizeAppend/{cold,warm} is an interleaved pair: warm restores an N-1 baseline cache off the clock, then times a plain full-roster run over it; the reported cached-vectors proves the baseline vectors came from the cache. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= count; i++)
         printf "%s%s\n", rows[i], (i < count ? "," : "")

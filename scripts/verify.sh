@@ -2,7 +2,7 @@
 # Repo verification gate: build, vet, the full test suite, the race
 # detector over every package, short fuzz runs over every binary
 # decoder, the shard-merge/resume equivalence check on the quick
-# pipeline, the incremental append byte-identity gate, the distributed
+# pipeline, the warm-cache append byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
 # as declarative model files and reloaded runs byte-identically, and the
@@ -73,9 +73,10 @@ EOF
 
 echo "== allocation gate (BenchmarkCharacterizeCached)"
 # The cache-warm characterization path is pinned to a per-op allocation
-# ceiling: the kernel/memo work brought it to single-digit allocs/op, and
-# a regression back toward the historical ~7k allocs/op should fail the
-# gate loudly. CHAR_CACHED_ALLOC_CEILING overrides the ceiling (e.g. for
+# ceiling: vectors are read through stack buffers straight into the
+# dataset, so a warm run makes tens of allocs/op, and a regression back
+# toward the historical ~7k allocs/op (several per cached vector) should
+# fail the gate loudly. CHAR_CACHED_ALLOC_CEILING overrides the ceiling (e.g. for
 # instrumented builds).
 ALLOC_CEILING="${CHAR_CACHED_ALLOC_CEILING:-512}"
 allocs="$(go test -run '^$' -bench 'BenchmarkCharacterizeCached$' -benchtime 2x -benchmem . |
@@ -121,23 +122,26 @@ if ! grep -q "BigData" "$tmp/crossera.out"; then
   exit 1
 fi
 
-echo "== incremental append gate (quick pipeline)"
-# The incremental engine's golden invariant, end to end through the CLI:
-# a baseline over six suites, then a full-roster append with the
-# approximation thresholds at zero, must export byte-identically to the
-# plain single-process run — and the run report must prove the delta
-# characterize path actually ran (rather than silently recomputing cold).
-"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" -incremental \
+echo "== warm-cache append gate (quick pipeline)"
+# Appending suites to a characterization reuses the interval-vector
+# cache, end to end through the CLI: six suites exported into a fresh
+# cache, then the full roster over the same cache, must export
+# byte-identically to the plain single-process run — and the run report
+# must prove the full-roster run read cached vectors (rather than
+# silently recomputing cold).
+"$tmp/phasechar" -quick -quiet -cache "$tmp/acache" \
   -suites BioPerf,BMW,MediaBenchII,SPECint2000,SPECfp2000,SPECint2006 export > /dev/null
-"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" -incremental \
-  -max-pca-drift 0 -max-centroid-shift 0 \
-  -report "$tmp/inc_report.json" export > "$tmp/incremental.json"
-cmp "$tmp/single.json" "$tmp/incremental.json"
-if ! grep -Fq '"engine.delta.characterize": 1' "$tmp/inc_report.json"; then
-  echo "incremental gate: append run did not take the delta characterize path" >&2
-  grep -F '"engine.' "$tmp/inc_report.json" >&2 || true
-  exit 1
-fi
+"$tmp/phasechar" -quick -quiet -cache "$tmp/acache" \
+  -report "$tmp/append_report.json" export > "$tmp/append.json"
+cmp "$tmp/single.json" "$tmp/append.json"
+python3 - "$tmp/append_report.json" <<'EOF'
+import json, sys
+
+hits = json.load(open(sys.argv[1]))["counters"].get("fcache.hits.vector", 0)
+if hits <= 0:
+    sys.exit("append gate: the full-roster run read no cached interval vectors")
+print(f"append gate: {hits} interval vectors read from the warm cache")
+EOF
 
 echo "== distributed loopback gate (3 workers, injected faults, mid-run kill)"
 # The same invariant across real process and network boundaries: three
@@ -177,8 +181,8 @@ cmp "$tmp/single.json" "$tmp/distributed.json"
 echo "== characterization service loopback gate"
 # The service's contract, end to end through the CLI: a job submitted
 # over HTTP must export byte-identically to the equivalent one-shot run
-# — cold, through an incremental append, and again hot-warm out of the
-# in-memory tier — while the front door sheds load with 429s at queue
+# — cold, through an append over the warm cache, and again hot-warm out
+# of the in-memory tier — while the front door sheds load with 429s at queue
 # capacity and reports per-endpoint latency percentiles in /metrics.
 six="BioPerf,BMW,MediaBenchII,SPECint2000,SPECfp2000,SPECint2006"
 "$tmp/phasechar" -quick -quiet -suites "$six" export > "$tmp/six.json"
@@ -197,18 +201,18 @@ while [ -z "$saddr" ]; do
   fi
   [ -z "$saddr" ] && sleep 0.1
 done
-# Cold six-suite job (records the incremental baseline server-side).
+# Cold six-suite job (warms the server-side cache).
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -suites "$six" submit > "$tmp/svc_six.json"
+  -suites "$six" submit > "$tmp/svc_six.json"
 cmp "$tmp/six.json" "$tmp/svc_six.json"
-# Incremental append over the full roster, through the front door.
+# Append over the full roster, through the front door and the warm cache.
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -max-pca-drift 0 -max-centroid-shift 0 submit > "$tmp/svc_full.json"
+  submit > "$tmp/svc_full.json"
 cmp "$tmp/single.json" "$tmp/svc_full.json"
 # Hot-warm repeat: same job again, answered from cached artifacts (and
 # the in-memory tier) — still byte-identical.
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -suites "$six" submit > "$tmp/svc_six_warm.json"
+  -suites "$six" submit > "$tmp/svc_six_warm.json"
 cmp "$tmp/six.json" "$tmp/svc_six_warm.json"
 # Inline tenant models: a job shipping the emerging-era suite inline
 # must export byte-identically to the same roster run locally via
