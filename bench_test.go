@@ -53,6 +53,10 @@ func benchEnv(b *testing.B) *experiments.Env {
 	return experiments.NewEnv(reg, benchConfig(), "", nil)
 }
 
+// runExperiment prices a whole experiment the way a user pays for it
+// (`phasechar <id>` without -cache): every iteration builds a fresh Env,
+// so it characterizes its intervals from scratch rather than reusing an
+// earlier iteration's dataset.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	x, ok := experiments.ByID(id)
@@ -74,7 +78,11 @@ func BenchmarkTable2GASelection(b *testing.B) { runExperiment(b, "table2") }
 func BenchmarkTable3IntervalCounts(b *testing.B) {
 	runExperiment(b, "table3")
 }
-func BenchmarkFig1GASweep(b *testing.B)      { runExperiment(b, "fig1") }
+
+// BenchmarkFig1GASweep prices the whole GA-sweep figure with a fresh Env
+// per iteration, characterization included: what `phasechar fig1` costs.
+func BenchmarkFig1GASweep(b *testing.B) { runExperiment(b, "fig1") }
+
 func BenchmarkFig23KiviatPlots(b *testing.B) { runExperiment(b, "fig23") }
 
 func BenchmarkFig4Coverage(b *testing.B) {
@@ -153,13 +161,49 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// defaultInterval generates one default-length interval of a roster
+// benchmark, as characterize would, and returns its instructions in
+// DefaultBatchSize blocks.
+func defaultInterval(b *testing.B, name string) [][]isa.Instruction {
+	b.Helper()
+	reg, err := bench.StandardRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bm, err := reg.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := core.DefaultConfig().IntervalLength
+	store := make([]isa.Instruction, 0, n)
+	var batches [][]isa.Instruction
+	err = trace.GenerateIntervalBatches(bm.BehaviorAt(0, 10), bm.IntervalSeed(0), n, nil, func(blk []isa.Instruction) {
+		lo := len(store)
+		store = append(store, blk...)
+		batches = append(batches, store[lo:])
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return batches
+}
+
+// reportPerInstr reports the benchmark's cost per instruction, given the
+// instructions one op covers.
+func reportPerInstr(b *testing.B, perOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(perOp), "ns/instr")
+}
+
 // BenchmarkMICACharacterization measures generation + full 69-metric
-// analysis, the pipeline's hot loop.
+// analysis, the pipeline's hot loop, as characterize runs it: one op is a
+// default-length interval generated and measured block by block by a
+// reused analyzer.
 func BenchmarkMICACharacterization(b *testing.B) {
 	reg, err := bench.StandardRegistry()
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := core.DefaultConfig().IntervalLength
 	for _, name := range []string{"SPECfp2006/lbm", "BioPerf/grappa", "SPECint2006/astar"} {
 		bm, err := reg.Lookup(name)
 		if err != nil {
@@ -168,44 +212,74 @@ func BenchmarkMICACharacterization(b *testing.B) {
 		beh := bm.BehaviorAt(0, 10)
 		b.Run(name, func(b *testing.B) {
 			a := mica.NewAnalyzer()
-			g, err := trace.NewGenerator(beh, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ins isa.Instruction
+			buf := make([]isa.Instruction, trace.DefaultBatchSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Next(&ins)
-				a.Record(&ins)
+				a.Reset()
+				if err := trace.GenerateIntervalBatches(beh, bm.IntervalSeed(i%10), n, buf, a.RecordBatch); err != nil {
+					b.Fatal(err)
+				}
+				a.Vector()
 			}
+			reportPerInstr(b, n)
 		})
 	}
 }
 
+// BenchmarkPPMGroup prices the twelve PPM predictors the way the analyzer
+// runs them: the four standard groups replay one default-length interval's
+// branch outcomes block by block through RecordAll, with a Reset per
+// interval.
 func BenchmarkPPMGroup(b *testing.B) {
-	g, err := ppm.NewGroup(ppm.Global, ppm.PerAddress, []int{4, 8, 12}, 0)
-	if err != nil {
-		b.Fatal(err)
+	batches := defaultInterval(b, "SPECint2006/astar")
+	var outcomes [][]ppm.Outcome
+	instrs := 0
+	for _, blk := range batches {
+		var outs []ppm.Outcome
+		for i := range blk {
+			if blk[i].Op.IsConditional() {
+				outs = append(outs, ppm.Outcome{PC: blk[i].PC, Taken: blk[i].Taken})
+			}
+		}
+		outcomes = append(outcomes, outs)
+		instrs += len(blk)
 	}
-	x := uint64(99)
+	groups := ppm.StandardGroups()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x = x*6364136223846793005 + 1
-		g.Record(0x400000+uint64(i%32)*4, x>>63 == 1)
+		for g := range groups {
+			groups[g].Reset()
+		}
+		for _, outs := range outcomes {
+			for g := range groups {
+				groups[g].RecordAll(outs)
+			}
+		}
 	}
+	reportPerInstr(b, instrs)
 }
 
+// BenchmarkILPAnalyzer prices the four ideal-window ILP models on one
+// default-length interval, block by block through RecordBatch, with a
+// Reset per interval.
 func BenchmarkILPAnalyzer(b *testing.B) {
+	batches := defaultInterval(b, "SPECint2006/astar")
 	a, err := ilp.NewAnalyzer(ilp.StandardWindows)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ins := isa.Instruction{Op: isa.OpIntAdd, Dst: 5, Src: [isa.MaxSrcRegs]uint8{3, 7}, NSrc: 2}
+	instrs := 0
+	for _, blk := range batches {
+		instrs += len(blk)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ins.Dst = uint8(1 + i%60)
-		a.Record(&ins)
+		a.Reset()
+		for _, blk := range batches {
+			a.RecordBatch(blk)
+		}
 	}
+	reportPerInstr(b, instrs)
 }
 
 func BenchmarkPCA69Columns(b *testing.B) {

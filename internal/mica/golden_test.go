@@ -210,9 +210,12 @@ func TestGoldenVectorsFreshAnalyzer(t *testing.T) {
 
 var benchSinkVec []float64
 
+// BenchmarkAnalyzerRecordBatch measures the analyzer as characterize
+// drives it: one op is a 20,000-instruction interval (the default length)
+// recorded in DefaultBatchSize blocks after a Reset.
 func BenchmarkAnalyzerRecordBatch(b *testing.B) {
 	beh := goldenBehaviors()["golden/int-branchy"]
-	const n = 4096
+	const n = 20000
 	buf := make([]isa.Instruction, n)
 	g, err := trace.NewGenerator(beh, 1)
 	if err != nil {
@@ -222,7 +225,10 @@ func BenchmarkAnalyzerRecordBatch(b *testing.B) {
 	a := NewAnalyzer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.RecordBatch(buf)
+		a.Reset()
+		for lo := 0; lo < n; lo += trace.DefaultBatchSize {
+			a.RecordBatch(buf[lo:min(lo+trace.DefaultBatchSize, n)])
+		}
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "instr/s")
 }

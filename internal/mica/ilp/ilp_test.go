@@ -142,3 +142,54 @@ func TestStandardWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordBatchMatchesRecord pins RecordBatch — warm-up, the fused
+// power-of-two pass, leftover power-of-two windows and non-power-of-two
+// windows — to instruction-major Record, bit for bit, over random streams
+// fed in uneven blocks, across a Reset.
+func TestRecordBatchMatchesRecord(t *testing.T) {
+	x := uint64(11)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 33
+	}
+	stream := make([]isa.Instruction, 20000)
+	for i := range stream {
+		ins := &stream[i]
+		ins.Op = isa.OpClass(next() % uint64(isa.NumOpClasses))
+		if next()%10 < 7 {
+			ins.Dst = uint8(next() % isa.NumRegs)
+		}
+		ins.NSrc = uint8(next() % (isa.MaxSrcRegs + 1))
+		for s := range ins.Src { // registers past NSrc are junk, as they may be in a decoded trace
+			ins.Src[s] = uint8(next() % isa.NumRegs)
+		}
+	}
+	for _, windows := range [][]int{
+		StandardWindows,
+		{1, 2, 4, 8, 16, 32},
+		{256, 48, 32, 100, 64, 128, 3},
+		{8},
+	} {
+		scalar, batched := mustAnalyzer(t, windows), mustAnalyzer(t, windows)
+		for round := 0; round < 2; round++ {
+			scalar.Reset()
+			batched.Reset()
+			for i := range stream {
+				scalar.Record(&stream[i])
+			}
+			for lo := 0; lo < len(stream); {
+				hi := min(lo+1+int(next()%700), len(stream))
+				batched.RecordBatch(stream[lo:hi])
+				lo = hi
+			}
+			for i := range scalar.windows {
+				s, b := &scalar.windows[i], &batched.windows[i]
+				if s.count != b.count || s.lastDone != b.lastDone || s.pos != b.pos || s.regReady != b.regReady {
+					t.Fatalf("windows %v round %d: window %d diverged: Record (count %d, last %d), RecordBatch (count %d, last %d)",
+						windows, round, s.size, s.count, s.lastDone, b.count, b.lastDone)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ppm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -22,17 +23,10 @@ type Outcome struct {
 // configured length from it — identical results to independent Predictor
 // instances at a fraction of the cost.
 //
-// Entry storage is a small open-addressing hash map keyed by the
-// direct-mapped table index (order << tableBits | hashed context), not the
-// multi-megabyte direct-mapped slab itself. One interval touches a few
-// thousand distinct entries out of ~200K slots, so the slab's cache
-// behavior is dreadful: every access lands on its own cache line (4 live
-// bytes out of 64). The map packs the same entries 8 bytes apiece into a
-// contiguous table that fits in L2. Aliasing is untouched — two contexts
-// collide if and only if they produce the same direct-mapped index, which
-// is the map key — so the results are bit-identical to the slab. If an
-// interval overflows maxSlots the group spills the map into a real slab
-// and finishes the interval there, preserving exactness at any scale.
+// Entry storage is one direct-mapped slab laid out order-major: order o's
+// table is slab[o<<tableBits : (o+1)<<tableBits], so each RecordAll order
+// pass sweeps only its own table (64 KiB at the defaults) instead of
+// hashing every order across one shared structure.
 type Group struct {
 	histScope  Scope
 	tableScope Scope
@@ -42,20 +36,13 @@ type Group struct {
 	mask      uint64
 	tableBits uint
 
-	// Map mode: slot = idx<<32 | entry. A slot is empty iff it is zero —
-	// every stored entry has total >= 1, and a zero entry is semantically
-	// identical to an absent one. Grown by doubling at 50% load.
-	slots  []uint64
-	nslots int
-	// maxSlots caps map growth; exceeding it spills to the slab. A field
-	// (not a constant) so tests can force the spill path cheaply.
-	maxSlots int
-
-	// Spill mode: the direct-mapped slab, allocated on first spill and
-	// kept for later spilling intervals. inSlab marks the current
-	// interval as spilled.
-	slab   []uint32
-	inSlab bool
+	// slab holds the packed counters (taken<<16 | total) of every order's
+	// table, order-major, unpadded: (maxHist+1)<<tableBits entries.
+	// stale marks it as holding a previous interval's counters: Reset
+	// defers the clear to the next RecordAll, which clears each order's
+	// table just before that order's pass, while the table is in cache.
+	slab  []uint32
+	stale bool
 
 	globalHist uint64
 	localHist  []uint64
@@ -66,12 +53,15 @@ type Group struct {
 
 	// RecordAll staging (reused across batches): per-outcome history, pc
 	// hash term and taken bit (pre-widened to the counter increment so the
-	// order passes never re-derive it), and the per-outcome index of the
-	// longest history length whose prediction is still unresolved.
+	// order passes never re-derive it), and per-outcome bit sets filled by
+	// the order passes: bit o+1 of seenBuf is set if order o's entry had
+	// been seen, and then bit o+1 of predBuf holds its prediction. Bit 0
+	// of both is set: the predicted-taken default below order 0.
 	histBuf  []uint64
 	pcBuf    []uint64
 	takenBuf []uint16
-	pending  []int8
+	seenBuf  []uint64
+	predBuf  []uint64
 }
 
 // NewGroup builds a grouped predictor for the given history lengths
@@ -99,8 +89,7 @@ func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group
 		mask:       1<<uint(tableBits) - 1,
 		tableBits:  uint(tableBits),
 		misses:     make([]uint64, len(ls)),
-		slots:      make([]uint64, 1<<12),
-		maxSlots:   1 << 16,
+		slab:       make([]uint32, (ls[len(ls)-1]+1)<<uint(tableBits)),
 	}
 	if histScope == PerAddress {
 		const localBits = 10
@@ -118,117 +107,22 @@ func (g *Group) Name() string {
 	return Config{HistoryScope: g.histScope, TableScope: g.tableScope}.Name()
 }
 
-// Reset clears all predictor state and counters. The entry map keeps its
-// grown capacity; the slab (if any) was cleared when it was entered, so
-// dropping back to map mode is all a spilled interval needs.
+// Reset clears all predictor state and counters.
 func (g *Group) Reset() {
-	clear(g.slots)
-	g.nslots = 0
-	g.inSlab = false
+	g.stale = true
 	clear(g.localHist)
 	g.globalHist = 0
 	g.predictions = 0
 	clear(g.misses)
 }
 
-// slotHash spreads a table index over the slot array. Multiply-shift:
-// idx's low bits are already a mix64 output, the multiply folds the order
-// bits in.
-func slotHash(idx uint64) uint64 { return idx * 0x9e3779b97f4a7c15 }
-
-// loadEntry returns the packed counters for idx, zero if unseen this
-// interval.
-func (g *Group) loadEntry(idx uint64) uint32 {
-	if g.inSlab {
-		return g.slab[idx]
-	}
-	slots := g.slots
-	if len(slots) == 0 {
-		return 0
-	}
-	m := uint64(len(slots) - 1)
-	for h := slotHash(idx); ; h++ {
-		s := slots[h&m]
-		if s == 0 {
-			return 0
-		}
-		if s>>32 == idx {
-			return uint32(s)
-		}
-	}
-}
-
-// storeEntry writes the updated counters for idx. wasZero marks a first
-// touch (a map insert).
-func (g *Group) storeEntry(idx uint64, e uint32, wasZero bool) {
-	if g.inSlab {
-		g.slab[idx] = e
-		return
-	}
-	slots := g.slots
-	if len(slots) == 0 {
-		return
-	}
-	m := uint64(len(slots) - 1)
-	for h := slotHash(idx); ; h++ {
-		s := slots[h&m]
-		if s == 0 || s>>32 == idx {
-			slots[h&m] = idx<<32 | uint64(e)
-			break
-		}
-	}
-	if wasZero {
-		g.nslots++
-		if 2*g.nslots >= len(slots) {
-			g.growOrSpill()
-		}
-	}
-}
-
-// growOrSpill doubles the slot array, or migrates to the direct-mapped
-// slab once the map would outgrow maxSlots.
-func (g *Group) growOrSpill() {
-	if 2*len(g.slots) <= g.maxSlots {
-		old := g.slots
-		g.slots = make([]uint64, 2*len(old))
-		m := uint64(len(g.slots) - 1)
-		for _, s := range old {
-			if s == 0 {
-				continue
-			}
-			h := slotHash(s >> 32)
-			for g.slots[h&m] != 0 {
-				h++
-			}
-			g.slots[h&m] = s
-		}
-		return
-	}
-	// Spill: move every live entry to its direct-mapped slot. The slab
-	// may hold a previous spilled interval's counters, so clear it first.
-	if g.slab == nil {
-		// Padded to a power of two so the hot loop can index it as
-		// slab[idx&(len-1)]: a no-op mask (idx is already in range) that
-		// lets the compiler drop the bounds checks.
-		n := 1
-		for n < (g.maxHist+1)<<g.tableBits {
-			n <<= 1
-		}
-		g.slab = make([]uint32, n)
-	} else {
-		clear(g.slab)
-	}
-	for _, s := range g.slots {
-		if s != 0 {
-			g.slab[s>>32] = uint32(s)
-		}
-	}
-	g.inSlab = true
-}
-
 // Record predicts the branch at pc at every configured history length,
 // then updates the shared tables with the outcome.
 func (g *Group) Record(pc uint64, taken bool) {
+	if g.stale {
+		clear(g.slab)
+		g.stale = false
+	}
 	hist := &g.globalHist
 	var pcTerm uint64
 	if g.histScope == PerAddress || g.tableScope == PerAddress {
@@ -261,7 +155,7 @@ func (g *Group) record(hist, pcTerm uint64, taken bool) {
 	for o := g.maxHist; o >= 0; o-- {
 		ctx := hist & (1<<uint(o) - 1)
 		idx := uint64(o)<<g.tableBits + (mix64(ctx<<6^uint64(o)^pcTerm) & g.mask)
-		e := g.loadEntry(idx)
+		e := g.slab[idx]
 		taken16, total16 := uint16(e>>16), uint16(e)
 
 		if total16 != 0 {
@@ -282,7 +176,7 @@ func (g *Group) record(hist, pcTerm uint64, taken bool) {
 		if taken {
 			taken16++
 		}
-		g.storeEntry(idx, uint32(taken16)<<16|uint32(total16), total16 == 1)
+		g.slab[idx] = uint32(taken16)<<16 | uint32(total16)
 	}
 	// Cutoffs that found no seen context at any order default to taken.
 	for ; pending >= 0; pending-- {
@@ -308,12 +202,13 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 		g.histBuf = make([]uint64, n)
 		g.pcBuf = make([]uint64, n)
 		g.takenBuf = make([]uint16, n)
-		g.pending = make([]int8, n)
+		g.seenBuf = make([]uint64, n)
+		g.predBuf = make([]uint64, n)
 	}
 	hists := g.histBuf[:n]
 	pcs := g.pcBuf[:n]
 	takens := g.takenBuf[:n]
-	pending := g.pending[:n]
+	seen, pred := g.seenBuf[:n], g.predBuf[:n]
 
 	// Stage each outcome's pre-update history and pc hash term, advancing
 	// the history state exactly as scalar Record would.
@@ -366,165 +261,66 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 		g.globalHist = hist
 	}
 
-	top := int8(len(g.lengths) - 1)
-	for i := range pending {
-		pending[i] = top
+	for i := range seen {
+		seen[i], pred[i] = 1, 1
 	}
 	for o := g.maxHist; o >= 0; o-- {
-		g.recordOrder(o, takens, hists, pcs, pending)
+		g.recordOrder(o, takens, hists, pcs, seen, pred)
 	}
-	// Outcomes whose short cutoffs found no seen context at any order
-	// default to predicted-taken.
-	for i := range takens {
-		if takens[i] == 0 {
-			for p := pending[i]; p >= 0; p-- {
-				g.misses[p]++
-			}
+	g.stale = false
+	// Each length predicts from its longest seen order (the default if
+	// none): the highest set bit of seen at or below it.
+	for q, l := range g.lengths {
+		within := uint64(1)<<uint(l+2) - 1
+		var miss uint64
+		for i := range takens {
+			at := bits.Len64(seen[i]&within) - 1
+			miss += pred[i]>>uint(at)&1 ^ uint64(takens[i])
 		}
+		g.misses[q] += miss
 	}
 	g.predictions += uint64(n)
 }
 
-// recordOrder runs one order's predict+update pass over a staged batch.
-func (g *Group) recordOrder(o int, takens []uint16, hists, pcs []uint64, pending []int8) {
-	i := 0
-	if !g.inSlab {
-		i = g.recordOrderMap(o, takens, hists, pcs, pending)
+// recordOrder runs one order's predict+update pass over a staged batch,
+// touching only that order's table. It records whether each outcome's
+// entry had been seen and, if so, its prediction; RecordAll resolves the
+// predictions per history length once every order has run.
+func (g *Group) recordOrder(o int, takens []uint16, hists, pcs, seen, pred []uint64) {
+	size := 1 << g.tableBits
+	tbl := g.slab[o*size : (o+1)*size]
+	if g.stale {
+		clear(tbl)
 	}
-	if i < len(takens) {
-		g.recordOrderSlab(o, takens[i:], hists[i:], pcs[i:], pending[i:])
-	}
-}
-
-// recordOrderMap is the map-mode pass. It returns the index of the first
-// unprocessed outcome — len(takens) normally, earlier if the map
-// spilled to the slab mid-pass.
-func (g *Group) recordOrderMap(o int, takens []uint16, hists, pcs []uint64, pending []int8) int {
-	lengths := g.lengths
-	misses := g.misses
-	base := uint64(o) << g.tableBits
+	m := g.mask
+	_ = tbl[m] // proves every tbl[x&m] in bounds, so the loop has no bounds checks
+	n := len(takens)
+	hists, pcs, seen, pred = hists[:n], pcs[:n], seen[:n], pred[:n]
 	ctxMask := uint64(1)<<uint(o) - 1
 	oTerm := uint64(o)
-	tblMask := g.mask
-	// The table pointer and probe mask only change on growth, so they live
-	// in locals and are reloaded after growOrSpill rather than per outcome.
-	slots := g.slots
-	if len(slots) == 0 {
-		return 0
-	}
-	m := uint64(len(slots) - 1)
+	bit := uint(o + 1)
 	for i := range takens {
-		takenInc := takens[i]
-		taken := takenInc != 0
-		idx := base + (mix64((hists[i]&ctxMask)<<6^oTerm^pcs[i]) & tblMask)
-
-		// Fused lookup+update probe: remember the slot so the store does
-		// not probe again.
-		h := slotHash(idx)
-		var e uint32
-		for {
-			s := slots[h&m]
-			if s == 0 {
-				e = 0
-				break
-			}
-			if s>>32 == idx {
-				e = uint32(s)
-				break
-			}
-			h++
-		}
+		slot := &tbl[mix64((hists[i]&ctxMask)<<6^oTerm^pcs[i])&m]
+		e := *slot
 		taken16, total16 := uint16(e>>16), uint16(e)
 
+		var s, p uint64
 		if total16 != 0 {
-			p := pending[i]
-			if p >= 0 && lengths[p] >= o {
-				pred := 2*uint32(taken16) >= uint32(total16)
-				for {
-					var mi uint64
-					if pred != taken {
-						mi = 1
-					}
-					misses[p] += mi
-					p--
-					if p < 0 || lengths[p] < o {
-						break
-					}
-				}
-				pending[i] = p
-			}
+			s = 1
 		}
+		if 2*uint32(taken16) >= uint32(total16) {
+			p = 1
+		}
+		seen[i] |= s << bit
+		pred[i] |= p << bit
 
 		if total16 == entryMax {
 			taken16 /= 2
 			total16 /= 2
 		}
 		total16++
-		taken16 += takenInc
-		slots[h&m] = idx<<32 | uint64(uint32(taken16)<<16|uint32(total16))
-		if e == 0 {
-			g.nslots++
-			if 2*g.nslots >= len(slots) {
-				g.growOrSpill()
-				if g.inSlab {
-					return i + 1
-				}
-				slots = g.slots
-				if len(slots) == 0 {
-					return i + 1
-				}
-				m = uint64(len(slots) - 1)
-			}
-		}
-	}
-	return len(takens)
-}
-
-// recordOrderSlab is the spilled pass over the direct-mapped slab.
-func (g *Group) recordOrderSlab(o int, takens []uint16, hists, pcs []uint64, pending []int8) {
-	slab := g.slab
-	if len(slab) == 0 {
-		return
-	}
-	lenMask := uint64(len(slab) - 1) // no-op mask proving accesses in bounds
-	lengths := g.lengths
-	misses := g.misses
-	base := uint64(o) << g.tableBits
-	ctxMask := uint64(1)<<uint(o) - 1
-	oTerm := uint64(o)
-	for i := range takens {
-		takenInc := takens[i]
-		taken := takenInc != 0
-		idx := base + (mix64((hists[i]&ctxMask)<<6^oTerm^pcs[i]) & g.mask)
-		e := slab[idx&lenMask]
-		taken16, total16 := uint16(e>>16), uint16(e)
-
-		if total16 != 0 {
-			p := pending[i]
-			if p >= 0 && lengths[p] >= o {
-				pred := 2*uint32(taken16) >= uint32(total16)
-				for {
-					var mi uint64
-					if pred != taken {
-						mi = 1
-					}
-					misses[p] += mi
-					p--
-					if p < 0 || lengths[p] < o {
-						break
-					}
-				}
-				pending[i] = p
-			}
-		}
-
-		if total16 == entryMax {
-			taken16 /= 2
-			total16 /= 2
-		}
-		total16++
-		taken16 += takenInc
-		slab[idx&lenMask] = uint32(taken16)<<16 | uint32(total16)
+		taken16 += takens[i]
+		*slot = uint32(taken16)<<16 | uint32(total16)
 	}
 }
 

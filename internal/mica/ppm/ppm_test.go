@@ -242,10 +242,10 @@ func TestGroupRecordAllMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestGroupResetIsolation verifies the epoch-based Reset: a group reused
-// across many Reset cycles must produce exactly the results of a fresh
-// group on every interval, i.e. no state can leak through the epoch
-// stamps.
+// TestGroupResetIsolation verifies Reset's deferred slab clear: a group
+// reused across many Reset cycles must produce exactly the results of a
+// fresh group on every interval, i.e. no counters leak from one interval
+// into the next.
 func TestGroupResetIsolation(t *testing.T) {
 	reused := StandardGroups()
 	for round := 0; round < 5; round++ {
@@ -328,67 +328,105 @@ func TestGroupName(t *testing.T) {
 	}
 }
 
-// TestGroupSpillMatchesReference forces the entry map to spill into the
-// direct-mapped slab mid-interval and checks the results stay identical
-// to the reference predictors, including across a Reset and a second
-// spilled interval.
-func TestGroupSpillMatchesReference(t *testing.T) {
-	// A wide PC range accumulates distinct entries quickly.
-	n := 6000
+// TestGroupMatchesReferenceUnderAliasing drives each standard variant's
+// Group through RecordAll against independent reference Predictors, at the
+// default table size and at 16-entry tables. Three quarters of the
+// stream is one hot branch, taken 70,000 times and then never, so its
+// order-0 entry passes entryMax and halves: a halving off by one moves the
+// point where its history-0 prediction turns to not-taken, which the
+// groups carry beside the standard lengths 4, 8 and 12. The rest spreads
+// over 4096 branches, enough distinct contexts that every order's table
+// aliases at 16 entries (the global-table orders that have fewer than 16
+// contexts excepted). A Reset and a second interval follow on the same
+// groups.
+func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
+	const n = 150_000
 	outs := make([]Outcome, n)
 	x := uint64(7)
+	hot := 0
 	for i := range outs {
 		x = x*6364136223846793005 + 1442695040888963407
-		outs[i] = Outcome{
-			PC:    0x400000 + (x>>40)%4096*4,
-			Taken: (x>>62)&1 == 1 || x%3 == 0,
+		if x>>62 != 0 {
+			outs[i] = Outcome{PC: 0x400000, Taken: hot < 70_000}
+			hot++
+			continue
 		}
+		outs[i] = Outcome{PC: 0x400000 + (x>>40)%4096*4, Taken: (x>>61)&1 == 1 || x%3 == 0}
 	}
-	newPreds := func() []*Predictor {
-		var preds []*Predictor
+	for _, tableBits := range []int{4, 0} {
+		var groups []*Group
 		for _, cfg := range StandardConfigs() {
-			p, err := New(cfg)
+			if cfg.MaxHistory != 12 {
+				continue
+			}
+			g, err := NewGroup(cfg.HistoryScope, cfg.TableScope, []int{0, 4, 8, 12}, tableBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			preds = append(preds, p)
+			groups = append(groups, g)
 		}
-		return preds
-	}
-	groups := StandardGroups()
-	for gi := range groups {
-		groups[gi].slots = make([]uint64, 1<<8)
-		groups[gi].maxSlots = 1 << 9
-	}
-	for round := 0; round < 2; round++ {
-		preds := newPreds()
-		for gi := range groups {
-			if round > 0 {
-				groups[gi].Reset()
-			}
-			groups[gi].RecordAll(outs)
-		}
-		for _, o := range outs {
-			for _, p := range preds {
-				p.Record(o.PC, o.Taken)
-			}
-		}
-		spilled := 0
-		i := 0
-		for gi := range groups {
-			if groups[gi].inSlab {
-				spilled++
-			}
-			for _, rate := range groups[gi].MissRates() {
-				if rate != preds[i].MissRate() {
-					t.Fatalf("round %d %s: miss rate %v, reference %v",
-						round, groups[gi].Name(), rate, preds[i].MissRate())
+		for round := 0; round < 2; round++ {
+			for _, g := range groups {
+				if round > 0 {
+					g.Reset()
 				}
-				i++
+				for lo := 0; lo < n; lo += 4096 {
+					g.RecordAll(outs[lo:min(lo+4096, n)])
+				}
 			}
-		}
-		if spilled == 0 {
-			t.Fatalf("round %d: no group spilled; test is vacuous", round)
+			for _, g := range groups {
+				var sum uint64
+				for _, e := range g.slab[:1<<g.tableBits] {
+					sum += uint64(uint16(e))
+				}
+				if sum >= n {
+					t.Fatalf("tableBits %d %s: order-0 totals sum to %d of %d outcomes; no entry halved",
+						tableBits, g.Name(), sum, n)
+				}
+				for li, h := range g.Lengths() {
+					cfg := Config{HistoryScope: g.histScope, TableScope: g.tableScope, MaxHistory: h, TableBits: tableBits}
+					ref := mustNew(t, cfg)
+					// aliased[o] records whether two distinct contexts of
+					// order o shared a table entry.
+					aliased := make([]bool, h+1)
+					owner := make([]map[uint64][2]uint64, h+1)
+					for o := range owner {
+						owner[o] = map[uint64][2]uint64{}
+					}
+					checkAlias := tableBits != 0 && h == 12 && round == 0
+					for i, out := range outs {
+						if checkAlias && i < 20_000 {
+							hist := *ref.history(out.PC)
+							pc := uint64(0)
+							if g.tableScope == PerAddress {
+								pc = out.PC
+							}
+							for o := 0; o <= h; o++ {
+								key := [2]uint64{hist & (1<<uint(o) - 1), pc}
+								idx := ref.index(o, hist, out.PC)
+								if k, ok := owner[o][idx]; !ok {
+									owner[o][idx] = key
+								} else if k != key {
+									aliased[o] = true
+								}
+							}
+						}
+						ref.Record(out.PC, out.Taken)
+					}
+					if got, want := g.MissRates()[li], ref.MissRate(); got != want {
+						t.Fatalf("tableBits %d round %d %s-%d: miss rate %v, reference %v",
+							tableBits, round, g.Name(), h, got, want)
+					}
+					if !checkAlias {
+						continue
+					}
+					for o, a := range aliased {
+						if !a && (g.tableScope == PerAddress || o >= 5) {
+							t.Fatalf("%s order %d: no two contexts aliased; test is vacuous", g.Name(), o)
+						}
+					}
+				}
+			}
 		}
 	}
 }

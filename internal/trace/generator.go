@@ -39,10 +39,16 @@ type Generator struct {
 	numFuncs int
 	stack    []int
 
-	// Register dependence ring: destination register written d
-	// instructions ago (0 = wrote nothing).
-	ring    [depRingSize]uint8
-	ringPos int
+	// Register dependence ring. The slot of the instruction with
+	// sequence number n (the n-th emitted; the empty stream is n = 0) is
+	// n & (depRingSize-1) and holds the latest register producer at or
+	// before it: its sequence number (noProducer if none) and its
+	// destination. A dependence source is then one slot read.
+	ring [depRingSize]producer
+
+	// depGeo draws the geometric dependence distances of phases with
+	// MeanDepDist <= 4.
+	depGeo *geoTable
 
 	// Hoisted register-spec quantities (constant per generator).
 	srcBase int     // integer part of AvgSrcRegs
@@ -66,6 +72,19 @@ type Generator struct {
 
 	emitted uint64
 }
+
+// producer is one dependence-ring slot: see Generator.ring.
+type producer struct {
+	seq int64
+	reg uint8
+}
+
+// noProducer marks a ring slot with no producer at or before it.
+const noProducer = -1 << 62
+
+// The geometric means every generator draws besides its dependence mean:
+// the short-reuse tail of long-dependence phases and branch distances.
+var geo3, geo12 = newGeoTable(3), newGeoTable(12)
 
 type branchState struct {
 	period int // pattern period
@@ -119,6 +138,12 @@ func NewGenerator(b *PhaseBehavior, seed uint64) (*Generator, error) {
 	g.numFuncs = g.codeSize / 512
 	if g.numFuncs < 1 {
 		g.numFuncs = 1
+	}
+	for i := range g.ring {
+		g.ring[i].seq = noProducer
+	}
+	if jb.Reg.MeanDepDist <= 4 {
+		g.depGeo = newGeoTable(jb.Reg.MeanDepDist)
 	}
 	g.srcBase = int(jb.Reg.AvgSrcRegs)
 	g.srcFrac = jb.Reg.AvgSrcRegs - float64(g.srcBase)
@@ -232,11 +257,19 @@ func (g *Generator) Next(ins *isa.Instruction) {
 		g.advancePC(pcIdx + 1)
 	}
 
-	// Record the register write for future dependences (depRingSize is a
-	// power of two, so the mask is the modulus).
-	g.ringPos = (g.ringPos + 1) & (depRingSize - 1)
-	g.ring[g.ringPos] = ins.Dst
+	g.recordWrite(ins.Dst)
+}
+
+// recordWrite advances the stream by one instruction that wrote dst (0 =
+// nothing), for future dependences. depRingSize is a power of two, so the
+// mask is the modulus.
+func (g *Generator) recordWrite(dst uint8) {
+	prev := g.ring[g.emitted&(depRingSize-1)]
 	g.emitted++
+	if dst != 0 {
+		prev = producer{seq: int64(g.emitted), reg: dst}
+	}
+	g.ring[g.emitted&(depRingSize-1)] = prev
 }
 
 // fillRegs assigns destination and source registers, honouring the phase's
@@ -276,10 +309,10 @@ func (g *Generator) fillRegs(ins *isa.Instruction) {
 func (g *Generator) sampleDepDist() int {
 	m := g.b.Reg.MeanDepDist
 	if m <= 4 {
-		return g.rng.Geometric(m)
+		return g.depGeo.draw(g.rng)
 	}
 	if g.rng.Bernoulli(0.12) {
-		return g.rng.Geometric(3)
+		return geo3.draw(g.rng)
 	}
 	lo := int(m / 2)
 	if lo < 1 {
@@ -293,20 +326,20 @@ func (g *Generator) sampleDepDist() int {
 }
 
 // sourceAtDistance returns the register written approximately d
-// instructions ago, searching a little further back if that slot wrote
-// nothing, and falling back to a random register.
+// instructions ago, searching a little further back if that instruction
+// wrote nothing, and falling back to a random register. The search covers
+// the instructions d .. d+limit-1 back, limit = min(16, depRingSize-d);
+// the latest producer at or before distance d, which the ring stores, is
+// the first hit of that backward scan if it lies within it.
 func (g *Generator) sourceAtDistance(d int) uint8 {
-	// The ring size is a power of two, so masking the (possibly negative)
-	// index is exactly the old non-negative modulus; each probe steps one
-	// slot further back.
 	limit := 16
 	if rest := depRingSize - d; rest < limit {
 		limit = rest
 	}
-	idx := g.ringPos - d
-	for probe := 0; probe < limit; probe++ {
-		if r := g.ring[(idx-probe)&(depRingSize-1)]; r != 0 {
-			return r
+	if limit > 0 {
+		p := g.ring[(int(g.emitted)-d)&(depRingSize-1)]
+		if p.seq > int64(g.emitted)-int64(d+limit) {
+			return p.reg
 		}
 	}
 	return uint8(1 + g.rng.Intn(isa.NumRegs-1))
@@ -435,7 +468,7 @@ func (g *Generator) branchOutcome(pcIdx int) bool {
 // branchTarget picks where a taken conditional branch goes: mostly a short
 // backward jump (a loop), occasionally a short forward skip.
 func (g *Generator) branchTarget(pcIdx int) int {
-	delta := g.rng.Geometric(12) + 1
+	delta := geo12.draw(g.rng) + 1
 	var target int
 	if g.rng.Bernoulli(0.8) {
 		target = pcIdx - delta

@@ -353,3 +353,61 @@ func TestBranchPatternPredictability(t *testing.T) {
 		t.Fatal("no branch executed often enough to verify periodicity")
 	}
 }
+
+// scanSource is the reference dependence-source lookup: probe the ring of
+// written destinations (0 = wrote nothing) from d back, up to 16 slots and
+// never past the ring, returning the first register found.
+func scanSource(ring *[depRingSize]uint8, pos, d int) (uint8, bool) {
+	limit := 16
+	if rest := depRingSize - d; rest < limit {
+		limit = rest
+	}
+	for probe := 0; probe < limit; probe++ {
+		if r := ring[(pos-d-probe)&(depRingSize-1)]; r != 0 {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
+// TestSourceAtDistanceMatchesScan checks the O(1) producer-ring lookup
+// against the probe scan over random write streams of every density, at
+// every distance from 1 to 300 (past the ring included), from the first
+// instruction on.
+func TestSourceAtDistanceMatchesScan(t *testing.T) {
+	b := validBehavior()
+	for _, wf := range []float64{0, 0.1, 0.5, 1} {
+		g, err := NewGenerator(&b, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := NewRNG(uint64(wf*10) + 11)
+		var ring [depRingSize]uint8
+		pos := 0
+		for i := 0; i < 3000; i++ {
+			for d := 1; d <= 300; d++ {
+				saved := *g.rng
+				got := g.sourceAtDistance(d)
+				want, ok := scanSource(&ring, pos, d)
+				if !ok {
+					fallback := saved
+					want = uint8(1 + fallback.Intn(isa.NumRegs-1))
+				} else if *g.rng != saved {
+					t.Fatalf("write fraction %v, instruction %d, distance %d: a hit drew from the RNG", wf, i, d)
+				}
+				if got != want {
+					t.Fatalf("write fraction %v, instruction %d, distance %d: got r%d, scan r%d (hit %v)",
+						wf, i, d, got, want, ok)
+				}
+				*g.rng = saved
+			}
+			var dst uint8
+			if stream.Bernoulli(wf) {
+				dst = uint8(1 + stream.Intn(isa.NumRegs-1))
+			}
+			g.recordWrite(dst)
+			pos = (pos + 1) & (depRingSize - 1)
+			ring[pos] = dst
+		}
+	}
+}

@@ -109,16 +109,96 @@ func (r *RNG) Geometric(mean float64) int {
 		u = 1e-18
 	}
 	// k = ceil(ln(1-u)/ln(1-p))
-	k := 1
-	q := 1 - p
-	acc := p
-	cum := p
+	return geometricFrom(u, 1, p, p, 1-p)
+}
+
+// geometricFrom runs Geometric's inverse-CDF recurrence from k, where acc
+// is P(X = k) and cum is P(X <= k), to the first k whose cum reaches u.
+func geometricFrom(u float64, k int, acc, cum, q float64) int {
 	for cum < u && k < 1<<20 {
 		acc *= q
 		cum += acc
 		k++
 	}
 	return k
+}
+
+// geoTable is Geometric(mean) as a table search. cum holds the inverse-CDF
+// recurrence's running sums P(X <= k), k = 1..len(cum), computed by the
+// identical float operations, so the first entry >= u is the k Geometric's
+// loop stops at. bucket narrows the search: for u in
+// [j, j+1)/geoBuckets the answer's index is at least bucket[j], and is
+// exactly that when geoExact is set, which at the means drawn holds for
+// most buckets. A u beyond the table resumes Geometric's loop from the
+// table's last term. Draws consume the RNG exactly as Geometric does.
+type geoTable struct {
+	cum    []float64 // nil: mean <= 1, every draw is 1 without an RNG draw
+	bucket [geoBuckets]uint32
+	q      float64 // 1 - p
+	last   float64 // the recurrence's term at k = len(cum)
+}
+
+const (
+	geoBuckets = 256
+	geoExact   = 1 << 31
+	// geoTableTail is the probability mass left beyond a table: building
+	// stops once the running sum reaches 1-geoTableTail.
+	geoTableTail = 1.0 / 1024
+)
+
+func newGeoTable(mean float64) *geoTable {
+	t := &geoTable{}
+	if mean <= 1 {
+		return t
+	}
+	p := 1 / mean
+	t.q, t.last, t.cum = 1-p, p, []float64{p}
+	cum := p
+	for cum < 1-geoTableTail && len(t.cum) < 1<<20 {
+		t.last *= t.q
+		cum += t.last
+		t.cum = append(t.cum, cum)
+	}
+	// For bucket j, i and hi index the first entries >= its lower and
+	// upper bounds (len(cum) if none); it is exact when they agree on an
+	// in-table index.
+	i := 0
+	for j := range t.bucket {
+		for i < len(t.cum) && !(t.cum[i] >= float64(j)/geoBuckets) {
+			i++
+		}
+		hi := i
+		for hi < len(t.cum) && !(t.cum[hi] >= float64(j+1)/geoBuckets) {
+			hi++
+		}
+		t.bucket[j] = uint32(i)
+		if hi == i && i < len(t.cum) {
+			t.bucket[j] |= geoExact
+		}
+	}
+	return t
+}
+
+// draw returns exactly what r.Geometric(mean) would.
+func (t *geoTable) draw(r *RNG) int {
+	if t.cum == nil {
+		return 1
+	}
+	u := r.Float64()
+	if u <= 0 {
+		u = 1e-18
+	}
+	b := t.bucket[int(u*geoBuckets)&(geoBuckets-1)] // u < 1: the mask is an identity
+	if b&geoExact != 0 {
+		return int(b&^geoExact) + 1
+	}
+	for i := int(b); i < len(t.cum); i++ {
+		if t.cum[i] >= u {
+			return i + 1
+		}
+	}
+	k := len(t.cum)
+	return geometricFrom(u, k, t.last, t.cum[k-1], t.q)
 }
 
 // Jitter returns v scaled by a uniform factor in [1-amount, 1+amount],

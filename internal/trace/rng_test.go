@@ -222,3 +222,31 @@ func TestHash64Mixes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGeoTableMatchesGeometric pins the table-driven geometric draw to
+// RNG.Geometric: the same value and the same RNG consumption on every
+// draw, including draws past the end of the table, which resume the
+// recurrence.
+func TestGeoTableMatchesGeometric(t *testing.T) {
+	for _, mean := range []float64{0.5, 1, 1.5, 3, 4, 12, 40} {
+		tbl := newGeoTable(mean)
+		ref, got := NewRNG(uint64(mean*1000)), NewRNG(uint64(mean*1000))
+		past := 0
+		for i := 0; i < 100_000; i++ {
+			want := ref.Geometric(mean)
+			v := tbl.draw(got)
+			if v != want {
+				t.Fatalf("mean %v draw %d: table %d, Geometric %d", mean, i, v, want)
+			}
+			if v > len(tbl.cum) {
+				past++
+			}
+		}
+		if ref.Uint64() != got.Uint64() {
+			t.Fatalf("mean %v: table draws consumed the RNG differently", mean)
+		}
+		if mean > 1 && past == 0 {
+			t.Fatalf("mean %v: no draw fell past the %d-entry table; test is vacuous", mean, len(tbl.cum))
+		}
+	}
+}

@@ -4,7 +4,7 @@
 # run report (stage spans + cache/worker counters) in
 # BENCH_analysis_report.json beside it.
 #
-# Usage: scripts/bench_analysis.sh [benchtime]
+# Usage: scripts/bench_analysis.sh [benchtime] [layer-benchtime]
 #
 # The recorded benchmarks are the parallel kernels introduced with the
 # worker-pool refactor (k-means restarts/assignment, GA fitness batches,
@@ -16,13 +16,24 @@
 # same run served entirely from a warm interval-vector cache), and
 # BenchmarkCharacterizeAppend, which prices a one-benchmark append over a
 # cache warmed by the other 76 against the cold full-roster control as an
-# interleaved pair. All of them produce byte-identical results at any
-# worker count and cache state, so the comparison is pure wall-clock.
+# interleaved pair. BenchmarkFig1GASweep builds a fresh Env per iteration,
+# so it prices the whole figure, characterization included, as a user
+# pays for it. BenchmarkCorpusQuery prices one corpus query. All of them
+# produce byte-identical results at any worker count and cache state, so
+# the comparison is pure wall-clock.
+#
+# The per-layer benchmarks of the characterization kernel run separately
+# at the time-based layer-benchtime (default 1s), each reporting ns/instr
+# over default-length intervals: TraceGeneration (the generator alone),
+# MICACharacterization (generate + RecordBatch), PPMGroup (the four
+# predictor groups' RecordAll) and ILPAnalyzer (the ILP windows'
+# RecordBatch).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-2x}"
+LAYER_BENCHTIME="${2:-1s}"
 OUT="BENCH_analysis.json"
 RAW="$(mktemp)"
 PREV="$(mktemp)"
@@ -35,6 +46,9 @@ trap 'rm -f "$RAW" "$PREV"' EXIT
 go test -run '^$' \
     -bench 'BenchmarkKMeansParallel|BenchmarkGAFitnessParallel|BenchmarkSelectKSweep|BenchmarkFullPipeline$|BenchmarkFig1GASweep|BenchmarkCharacterize$|BenchmarkCharacterizeCached$|BenchmarkCharacterizeAppend|BenchmarkCorpusQuery' \
     -benchtime "$BENCHTIME" -benchmem . | tee "$RAW"
+go test -run '^$' \
+    -bench 'BenchmarkTraceGeneration$|BenchmarkMICACharacterization|BenchmarkPPMGroup$|BenchmarkILPAnalyzer$' \
+    -benchtime "$LAYER_BENCHTIME" -benchmem . | tee -a "$RAW"
 
 awk -v benchtime="$BENCHTIME" '
 /^goos:/    { goos = $2 }
@@ -61,7 +75,7 @@ END {
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the interval-vector cache, each vector read straight into the dataset. Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch). BenchmarkCharacterizeAppend/{cold,warm} is an interleaved pair: warm restores an N-1 baseline cache off the clock, then times a plain full-roster run over it; the reported cached-vectors proves the baseline vectors came from the cache. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
+    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the interval-vector cache, each vector read straight into the dataset. Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch). BenchmarkCharacterizeAppend/{cold,warm} is an interleaved pair: warm restores an N-1 baseline cache off the clock, then times a plain full-roster run over it; the reported cached-vectors proves the baseline vectors came from the cache. BenchmarkFig1GASweep builds a fresh Env per iteration, so it prices the whole figure, characterization included, as phasechar fig1 costs a user. The per-layer kernel benchmarks (TraceGeneration, MICACharacterization, PPMGroup, ILPAnalyzer) run at a time-based benchtime and report ns/instr over default-length (20,000-instruction) intervals, resetting per interval. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= count; i++)
         printf "%s%s\n", rows[i], (i < count ? "," : "")

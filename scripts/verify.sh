@@ -1,19 +1,19 @@
 #!/bin/sh
-# Repo verification gate: build, vet, the full test suite, the race
-# detector over every package, short fuzz runs over every binary
-# decoder, the shard-merge/resume equivalence check on the quick
-# pipeline, the warm-cache append byte-identity gate, the distributed
-# loopback gate (networked workers with injected faults and a mid-run
-# worker kill), the workload-model round-trip gate (the roster exported
-# as declarative model files and reloaded runs byte-identically, and the
-# checked-in emerging-era suites load and analyze), and the
-# characterization-service loopback gate (jobs over HTTP byte-identical
-# to one-shot exports — including jobs shipping inline tenant models —
-# cold and hot-warm, with backpressure and latency histograms), and the
-# phase-corpus gate (a six-suite corpus built through the CLI answers
-# queries byte-identically to the checked-in goldens, across worker
-# counts, across compaction, and over the service front door). Run
-# before every merge.
+# Repo verification gate: build, vet, the full test suite, vet and tests
+# of the perfbench module, the race detector over every package, short
+# fuzz runs over every binary decoder, the shard-merge/resume
+# equivalence check on the quick pipeline, the warm-cache append
+# byte-identity gate, the distributed loopback gate (networked workers
+# with injected faults and a mid-run worker kill), the workload-model
+# round-trip gate (the roster exported as declarative model files and
+# reloaded runs byte-identically, and the checked-in emerging-era suites
+# load and analyze), and the characterization-service loopback gate
+# (jobs over HTTP byte-identical to one-shot exports — including jobs
+# shipping inline tenant models — cold and hot-warm, with backpressure
+# and latency histograms), and the phase-corpus gate (a six-suite corpus
+# built through the CLI answers queries byte-identically to the
+# checked-in goldens, across worker counts, across compaction, and over
+# the service front door). Run before every merge.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,6 +42,11 @@ go vet ./...
 
 echo "== go test ./... (tier-1)"
 go test ./...
+
+echo "== perfbench: vet and test (its own module)"
+# The benchmark is a separate module, so ./... above never builds it; its
+# layer replays call the ppm, ilp, mica and trace APIs directly.
+(cd perfbench && go vet ./... && go test .)
 
 echo "== go test -race ./..."
 go test -race -count=1 ./...
