@@ -16,14 +16,20 @@
 // carries a sorted ledger of dataset hashes (core.DatasetHash — the
 // same fingerprint the artifact cache keys on).
 //
-// Queries are served by an in-memory index rebuilt from the segments
-// whenever the manifest changes; see index.go. One process must own
-// writes to a corpus directory at a time (the service serializes its
-// own ingests; concurrent CLI writers are not coordinated), but readers
-// are always safe: they only ever see a fully written manifest.
+// In memory a Corpus publishes immutable snapshots behind an atomic
+// pointer: a decoded manifest plus the query index over exactly its
+// segments, built on first use (see index.go). Queries load the current
+// snapshot and scan it without a lock, so a long scan never holds up an
+// ingest or another query; writers serialize among themselves and
+// publish the next snapshot when their manifest swap is durable. One
+// process must own writes to a corpus directory at a time (the service
+// serializes its own ingests; concurrent CLI writers are not
+// coordinated), but readers are always safe: they only ever see a fully
+// written manifest.
 package corpus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -31,6 +37,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -140,10 +147,11 @@ type Corpus struct {
 	dir string
 	m   *obs.Metrics
 
-	mu   sync.Mutex
-	man  *manifest
-	idx  *index // built lazily, dropped whenever man changes
-	segN int    // last segment count reported to the segments counter
+	// snap is the published snapshot. Readers Load it and never lock;
+	// publish replaces it only with a newer manifest generation.
+	snap atomic.Pointer[snapshot]
+	// wmu serializes the writers: IngestBatch's write path and Compact.
+	wmu sync.Mutex
 
 	ingested    *obs.Counter
 	skipped     *obs.Counter
@@ -156,8 +164,46 @@ type Corpus struct {
 	// ingest and compaction (in the shardnet.Faults spirit: a scripted
 	// fault schedule, injected by tests, that never exists in
 	// production). Returning an error aborts the operation exactly
-	// there, leaving the disk as a kill at that instant would.
+	// there, leaving the disk as a kill at that instant would. Queries
+	// consult it once mid-scan, where a test may park the scan.
 	fail func(point string) error
+}
+
+// snapshot is one immutable view of the corpus: a decoded manifest and
+// the query index over exactly the segments it names, built by the
+// first query that needs it. Nothing in a published snapshot is ever
+// mutated, so any number of scans may share it while writers publish
+// its successors.
+type snapshot struct {
+	dir string
+	man *manifest
+	raw []byte // the manifest as read or written; nil before the first
+
+	once sync.Once
+	idx  *index
+	err  error
+}
+
+// index returns the snapshot's query index, building it on first use.
+func (sn *snapshot) index() (*index, error) {
+	sn.once.Do(func() {
+		segs, err := sn.loadSegments()
+		if err != nil {
+			sn.err = err
+			return
+		}
+		sn.idx, sn.err = buildIndex(segs, int(sn.man.dim))
+	})
+	return sn.idx, sn.err
+}
+
+// newer reports whether m is a later manifest generation than old:
+// every ingest and every compaction advances nextFile.
+func (m *manifest) newer(old *manifest) bool {
+	if m.nextFile != old.nextFile {
+		return m.nextFile > old.nextFile
+	}
+	return m.nextSeq > old.nextSeq
 }
 
 // Open opens (creating if necessary) the corpus directory. m may be
@@ -182,56 +228,90 @@ func Open(dir string, m *obs.Metrics) (*Corpus, error) {
 		scanRows:    m.Counter("corpus.scan_rows"),
 		compactions: m.Counter("corpus.compactions"),
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
+	c.snap.Store(&snapshot{dir: dir, man: &manifest{}})
+	sn, err := c.current()
+	if err != nil {
 		return nil, err
 	}
-	c.sweepLocked()
+	sweep(dir, sn.man)
 	return c, nil
 }
 
 // Dir returns the corpus directory.
 func (c *Corpus) Dir() string { return c.dir }
 
-// reloadLocked (re)reads the manifest from disk, dropping the cached
-// index when the on-disk state moved past the in-memory one. A missing
-// manifest is an empty corpus.
-func (c *Corpus) reloadLocked() error {
+// current returns the snapshot of the manifest now on disk. The
+// manifest is small and re-read on every call, so another process's
+// ingest is visible to the next query; only a manifest that moved past
+// the published snapshot is decoded and published (with an index to be
+// built). A missing manifest leaves the published snapshot standing: a
+// never-written corpus is empty.
+func (c *Corpus) current() (*snapshot, error) {
+	sn := c.snap.Load()
 	buf, err := os.ReadFile(filepath.Join(c.dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
-		if c.man == nil {
-			c.man = &manifest{}
-		}
-		return nil
+		return sn, nil
 	}
 	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
+		return nil, fmt.Errorf("corpus: %w", err)
+	}
+	if sn.raw != nil && bytes.Equal(buf, sn.raw) {
+		return sn, nil
 	}
 	man, err := decodeManifest(buf)
 	if err != nil {
-		return fmt.Errorf("corpus: %s: %w", manifestName, err)
+		return nil, fmt.Errorf("corpus: %s: %w", manifestName, err)
 	}
-	if c.man == nil || c.man.nextFile != man.nextFile || c.man.nextSeq != man.nextSeq {
-		c.idx = nil
-	}
-	c.man = man
-	c.segments.Add(int64(len(man.segments) - c.segN))
-	c.segN = len(man.segments)
-	return nil
+	return c.publish(&snapshot{dir: c.dir, man: man, raw: buf}), nil
 }
 
-// sweepLocked removes leftovers no live manifest references: temp files
-// from interrupted writes and segments whose manifest swap never
+// publish makes next the current snapshot unless one of a later (or
+// the same) manifest generation is already published, and returns
+// whichever is current. Publishing never moves backwards, so a reader
+// whose disk read lost a race with a writer cannot un-publish the
+// writer's snapshot. The segments counter follows the published
+// segment count.
+func (c *Corpus) publish(next *snapshot) *snapshot {
+	for {
+		cur := c.snap.Load()
+		if !next.man.newer(cur.man) {
+			return cur
+		}
+		if c.snap.CompareAndSwap(cur, next) {
+			c.segments.Add(int64(len(next.man.segments) - len(cur.man.segments)))
+			return next
+		}
+	}
+}
+
+// load returns the current snapshot with its index built. A snapshot
+// whose segments vanished before its index was built — a compaction,
+// here or in another process, unlinked them after swapping the manifest
+// — is retried against the manifest that replaced it.
+func (c *Corpus) load() (*snapshot, *index, error) {
+	for attempt := 0; ; attempt++ {
+		sn, err := c.current()
+		if err != nil {
+			return nil, nil, err
+		}
+		ix, err := sn.index()
+		if err == nil || !errors.Is(err, fs.ErrNotExist) || attempt == 2 {
+			return sn, ix, err
+		}
+	}
+}
+
+// sweep removes leftovers the manifest man does not reference: temp
+// files from interrupted writes and segments whose manifest swap never
 // happened (or that a compaction replaced but could not unlink). The
 // age gate keeps it from racing a writer that is mid-swap.
-func (c *Corpus) sweepLocked() {
-	entries, err := os.ReadDir(c.dir)
+func sweep(dir string, man *manifest) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	live := make(map[string]bool, len(c.man.segments))
-	for _, s := range c.man.segments {
+	live := make(map[string]bool, len(man.segments))
+	for _, s := range man.segments {
 		live[s] = true
 	}
 	cutoff := time.Now().Add(-sweepAge)
@@ -244,7 +324,7 @@ func (c *Corpus) sweepLocked() {
 		if info, err := e.Info(); err != nil || info.ModTime().After(cutoff) {
 			continue
 		}
-		os.Remove(filepath.Join(c.dir, name))
+		os.Remove(filepath.Join(dir, name))
 	}
 }
 
@@ -303,10 +383,13 @@ func ledgerInsert(ledger []uint64, h uint64) []uint64 {
 	return append(out, ledger[i:]...)
 }
 
-// IngestBatch appends one run's records as a new segment and swaps the
-// manifest. A batch whose dataset hash is already in the ledger is
-// skipped whole — re-running an identical characterization never
-// duplicates corpus rows, however many times it is ingested.
+// IngestBatch appends one run's records as a new segment, swaps the
+// manifest and publishes the next snapshot. A batch whose dataset hash
+// is already in the ledger is skipped whole — re-running an identical
+// characterization never duplicates corpus rows, however many times it
+// is ingested. A hash already in the published snapshot's ledger skips
+// without any lock or disk read: the ledger only grows, and compaction
+// keeps it.
 func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 	if b.Dataset == 0 {
 		return IngestInfo{}, fmt.Errorf("corpus: batch has no dataset hash")
@@ -327,24 +410,26 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 		}
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if info, done, err := c.checkLedger(c.snap.Load().man, b.Dataset, dim); done {
+		return info, err
+	}
+
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	// Re-read the manifest first: another process may have advanced the
 	// corpus since we loaded it, and appending from a stale root would
 	// reuse sequence numbers.
-	if err := c.reloadLocked(); err != nil {
+	sn, err := c.current()
+	if err != nil {
 		return IngestInfo{}, err
 	}
-	if c.man.dim != 0 && int(c.man.dim) != dim {
-		return IngestInfo{}, fmt.Errorf("corpus: batch has %d-dimensional vectors, corpus holds %d", dim, c.man.dim)
-	}
-	if ledgerHas(c.man.ledger, b.Dataset) {
-		c.skipped.Inc()
-		return IngestInfo{Skipped: true, Dataset: b.Dataset}, nil
+	cur := sn.man
+	if info, done, err := c.checkLedger(cur, b.Dataset, dim); done {
+		return info, err
 	}
 
-	seg := buildSegment(b, c.man.nextSeq)
-	name := newSegmentName(c.man.nextFile)
+	seg := buildSegment(b, cur.nextSeq)
+	name := newSegmentName(cur.nextFile)
 	if err := c.writeFileAtomic(name, encodeSegment(seg)); err != nil {
 		return IngestInfo{}, err
 	}
@@ -354,19 +439,16 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 		return IngestInfo{}, err
 	}
 	man := &manifest{
-		nextSeq:  c.man.nextSeq + uint64(len(b.Entries)),
-		nextFile: c.man.nextFile + 1,
+		nextSeq:  cur.nextSeq + uint64(len(b.Entries)),
+		nextFile: cur.nextFile + 1,
 		dim:      uint32(dim),
-		segments: append(append([]string{}, c.man.segments...), name),
-		ledger:   ledgerInsert(c.man.ledger, b.Dataset),
+		segments: append(append([]string{}, cur.segments...), name),
+		ledger:   ledgerInsert(cur.ledger, b.Dataset),
 	}
-	if err := c.writeFileAtomic(manifestName, encodeManifest(man)); err != nil {
+	if err := c.swapManifest(man); err != nil {
 		return IngestInfo{}, err
 	}
-	c.man, c.idx = man, nil
 	c.ingested.Add(int64(len(b.Entries)))
-	c.segments.Add(int64(len(man.segments) - c.segN))
-	c.segN = len(man.segments)
 
 	info := IngestInfo{Records: len(b.Entries), Segment: name, Dataset: b.Dataset}
 	for i := range b.Entries {
@@ -377,6 +459,31 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 		}
 	}
 	return info, nil
+}
+
+// checkLedger settles a batch against manifest man without writing:
+// done with an error for a dimensionality clash, done and skipped for a
+// dataset already in the ledger, not done otherwise.
+func (c *Corpus) checkLedger(man *manifest, dataset uint64, dim int) (IngestInfo, bool, error) {
+	if man.dim != 0 && int(man.dim) != dim {
+		return IngestInfo{}, true, fmt.Errorf("corpus: batch has %d-dimensional vectors, corpus holds %d", dim, man.dim)
+	}
+	if ledgerHas(man.ledger, dataset) {
+		c.skipped.Inc()
+		return IngestInfo{Skipped: true, Dataset: dataset}, true, nil
+	}
+	return IngestInfo{}, false, nil
+}
+
+// swapManifest makes man durable and publishes its snapshot. Caller
+// holds c.wmu.
+func (c *Corpus) swapManifest(man *manifest) error {
+	raw := encodeManifest(man)
+	if err := c.writeFileAtomic(manifestName, raw); err != nil {
+		return err
+	}
+	c.publish(&snapshot{dir: c.dir, man: man, raw: raw})
+	return nil
 }
 
 // buildSegment assembles b into a segment whose records start at
@@ -406,11 +513,11 @@ func buildSegment(b Batch, baseSeq uint64) *segment {
 	return seg
 }
 
-// loadSegmentsLocked reads and decodes every live segment.
-func (c *Corpus) loadSegmentsLocked() ([]*segment, error) {
-	segs := make([]*segment, 0, len(c.man.segments))
-	for _, name := range c.man.segments {
-		buf, err := os.ReadFile(filepath.Join(c.dir, name))
+// loadSegments reads and decodes every segment the snapshot names.
+func (sn *snapshot) loadSegments() ([]*segment, error) {
+	segs := make([]*segment, 0, len(sn.man.segments))
+	for _, name := range sn.man.segments {
+		buf, err := os.ReadFile(filepath.Join(sn.dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
@@ -423,32 +530,36 @@ func (c *Corpus) loadSegmentsLocked() ([]*segment, error) {
 	return segs, nil
 }
 
-// Compact merges the live segments into one and swaps the manifest.
-// The record set, its sequence numbers and the ledger are unchanged —
-// every query answers byte-identically before and after — only the file
-// layout collapses. The replaced segments are unlinked afterwards; if
-// that is interrupted they are unreferenced and swept by a later Open.
+// Compact merges the live segments into one, swaps the manifest and
+// publishes the next snapshot. The record set, its sequence numbers and
+// the ledger are unchanged — every query answers byte-identically
+// before and after — only the file layout collapses. The replaced
+// segments are unlinked afterwards; if that is interrupted they are
+// unreferenced and swept by a later Open. A scan still running on the
+// previous snapshot keeps its index, which no longer needs the files.
 func (c *Corpus) Compact() (CompactInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	sn, err := c.current()
+	if err != nil {
 		return CompactInfo{}, err
 	}
+	cur := sn.man
 	records := 0
-	segs, err := c.loadSegmentsLocked()
+	segs, err := sn.loadSegments()
 	if err != nil {
 		return CompactInfo{}, err
 	}
 	for _, s := range segs {
 		records += len(s.recs)
 	}
-	info := CompactInfo{Before: len(c.man.segments), After: len(c.man.segments), Records: records}
-	if len(c.man.segments) <= 1 {
+	info := CompactInfo{Before: len(cur.segments), After: len(cur.segments), Records: records}
+	if len(cur.segments) <= 1 {
 		return info, nil
 	}
 
 	merged := mergeSegments(segs)
-	name := newSegmentName(c.man.nextFile)
+	name := newSegmentName(cur.nextFile)
 	if err := c.writeFileAtomic(name, encodeSegment(merged)); err != nil {
 		return CompactInfo{}, err
 	}
@@ -458,27 +569,23 @@ func (c *Corpus) Compact() (CompactInfo, error) {
 		return CompactInfo{}, err
 	}
 	man := &manifest{
-		nextSeq:  c.man.nextSeq,
-		nextFile: c.man.nextFile + 1,
-		dim:      c.man.dim,
+		nextSeq:  cur.nextSeq,
+		nextFile: cur.nextFile + 1,
+		dim:      cur.dim,
 		segments: []string{name},
-		ledger:   c.man.ledger,
+		ledger:   cur.ledger,
 	}
-	if err := c.writeFileAtomic(manifestName, encodeManifest(man)); err != nil {
+	if err := c.swapManifest(man); err != nil {
 		return CompactInfo{}, err
 	}
-	old := c.man.segments
-	c.man, c.idx = man, nil
 	c.compactions.Inc()
-	c.segments.Add(int64(len(man.segments) - c.segN))
-	c.segN = len(man.segments)
 	// Crash point: the swap is durable; only the unlink of the replaced
 	// segments remains, and the sweep covers an interruption here.
 	if err := c.failAt("compact.manifest-swapped"); err != nil {
 		info.After = 1
 		return info, err
 	}
-	for _, s := range old {
+	for _, s := range cur.segments {
 		os.Remove(filepath.Join(c.dir, s))
 	}
 	info.After = 1
@@ -538,14 +645,9 @@ func mergeSegments(segs []*segment) *segment {
 
 // Stats summarizes the corpus as of the manifest on disk.
 func (c *Corpus) Stats() (Stats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		return Stats{}, err
-	}
-	ix, err := c.indexLocked()
+	sn, ix, err := c.load()
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.statsLocked(ix), nil
+	return sn.stats(ix), nil
 }

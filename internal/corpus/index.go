@@ -2,7 +2,10 @@ package corpus
 
 // The in-memory query index: every corpus record, in global sequence
 // order, normalized per-column over the whole corpus and laid out as
-// transposed blocks for kernel.DotCols — the same column-scan kernel
+// transposed blocks for kernel.DotCols. The blocks are the index's only
+// copy of the vectors; the few places that need one row (a ref query
+// point, a uniqueness or novelty row, an IVF candidate) gather it from
+// its block. The scan kernel is the same column-scan kernel
 // (and the same determinism contract: serial per-column sums, ties to
 // the lowest index) the k-means assignment runs on. The exact scan
 // visits every row; the optional IVF layer (Probe > 0) partitions the
@@ -15,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/kernel"
@@ -43,34 +47,19 @@ type scanBlock struct {
 	norms    []float64 // squared norms of the n normalized rows
 }
 
-// index is the queryable in-memory corpus image.
+// index is the queryable in-memory corpus image. It is immutable once
+// built, except for the IVF layer, which the first probed query builds
+// under ivfOnce.
 type index struct {
 	dim     int
 	entries []idxEntry
-	norm    *stats.Matrix // normalized rows, entry order
 	cs      stats.ColumnStats
 	blocks  []scanBlock
 	byBench map[string][]int // interval rows per benchmark ID
 	bySuite map[string][]int // interval rows per suite
-	ivf     *ivfIndex        // built on first probed query
-}
 
-// indexLocked returns the index for the current manifest, building it
-// if the manifest changed since the last build. Caller holds c.mu.
-func (c *Corpus) indexLocked() (*index, error) {
-	if c.idx != nil {
-		return c.idx, nil
-	}
-	segs, err := c.loadSegmentsLocked()
-	if err != nil {
-		return nil, err
-	}
-	ix, err := buildIndex(segs, int(c.man.dim))
-	if err != nil {
-		return nil, err
-	}
-	c.idx = ix
-	return ix, nil
+	ivfOnce sync.Once
+	ivf     *ivfIndex // nil when the corpus is too small to partition
 }
 
 // buildIndex assembles the segments into one index. Rows land in
@@ -111,25 +100,25 @@ func buildIndex(segs []*segment, dim int) (*index, error) {
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].e.seq < rows[j].e.seq })
 
-	raw := stats.NewMatrix(total, dim)
+	vecs := stats.NewMatrix(total, dim)
 	for i := range rows {
 		ix.entries = append(ix.entries, rows[i].e)
-		copy(raw.Row(i), rows[i].vec)
+		copy(vecs.Row(i), rows[i].vec)
 		if rows[i].e.kind == KindInterval {
 			ix.byBench[rows[i].e.bench] = append(ix.byBench[rows[i].e.bench], i)
 			ix.bySuite[rows[i].e.suite] = append(ix.bySuite[rows[i].e.suite], i)
 		}
 	}
 	if total == 0 {
-		ix.norm = raw
 		return ix, nil
 	}
 
 	// Normalize per column over the whole corpus (zero-variance columns
 	// collapse to zero, as in the pipeline's pre-PCA normalization), so
 	// distances weight each characteristic by its corpus-wide spread
-	// rather than its unit of measure.
-	ix.norm, ix.cs = raw.Normalize()
+	// rather than its unit of measure. The row-major matrix is scratch:
+	// only the blocks outlive the build.
+	ix.cs = vecs.NormalizeInPlace()
 
 	for start := 0; start < total; start += scanBlockRows {
 		n := total - start
@@ -141,11 +130,21 @@ func buildIndex(segs []*segment, dim int) (*index, error) {
 			ct:    make([]float64, dim*n),
 			norms: make([]float64, n),
 		}
-		kernel.Transpose(ix.norm.Data[start*dim:(start+n)*dim], n, dim, blk.ct)
-		kernel.RowSquaredNorms(ix.norm.Data[start*dim:(start+n)*dim], n, dim, blk.norms)
+		kernel.Transpose(vecs.Data[start*dim:(start+n)*dim], n, dim, blk.ct)
+		kernel.RowSquaredNorms(vecs.Data[start*dim:(start+n)*dim], n, dim, blk.norms)
 		ix.blocks = append(ix.blocks, blk)
 	}
 	return ix, nil
+}
+
+// row gathers normalized index row r from its scan block into dst
+// (len ix.dim) and returns it.
+func (ix *index) row(r int, dst []float64) []float64 {
+	blk := &ix.blocks[r/scanBlockRows]
+	for j, col := 0, r-blk.start; j < ix.dim; j, col = j+1, col+blk.n {
+		dst[j] = blk.ct[col]
+	}
+	return dst
 }
 
 // normalize maps a raw vector into the index's normalized space.
@@ -233,10 +232,9 @@ func (ix *index) nearest(qn []float64, k, probe int, skip func(int) bool) ([]can
 }
 
 // hasNeighborWithin reports whether any non-skipped row lies within
-// radius of index row r (in normalized space), with block-level early
-// exit. It reports how many rows it scanned.
-func (ix *index) hasNeighborWithin(r int, radius float64, skip func(int) bool) (bool, int) {
-	qn := ix.norm.Row(r)
+// radius of the normalized point qn, with block-level early exit. It
+// reports how many rows it scanned.
+func (ix *index) hasNeighborWithin(qn []float64, radius float64, skip func(int) bool) (bool, int) {
 	qq := kernel.SquaredNorm(qn)
 	r2 := radius * radius
 	scanned := 0
@@ -279,8 +277,10 @@ type NoveltyResult struct {
 	Benches []UniquenessResult `json:"benches,omitempty"`
 }
 
-// uniqueness computes the corpus-uniqueness of one benchmark.
-func (ix *index) uniqueness(bench string, radius float64) (UniquenessResult, int, error) {
+// uniqueness computes the corpus-uniqueness of one benchmark. at is the
+// corpus's crash-point hook, consulted once after the first row: the
+// concurrency tests park a scan there.
+func (ix *index) uniqueness(bench string, radius float64, at func(string) error) (UniquenessResult, int, error) {
 	rows := ix.byBench[bench]
 	if len(rows) == 0 {
 		return UniquenessResult{}, 0, fmt.Errorf("corpus: benchmark %q has no intervals in the corpus", bench)
@@ -290,11 +290,17 @@ func (ix *index) uniqueness(bench string, radius float64) (UniquenessResult, int
 	skip := func(i int) bool {
 		return ix.entries[i].kind != KindInterval || ix.entries[i].bench == bench
 	}
-	for _, r := range rows {
-		hit, n := ix.hasNeighborWithin(r, radius, skip)
+	qn := make([]float64, ix.dim)
+	for i, r := range rows {
+		hit, n := ix.hasNeighborWithin(ix.row(r, qn), radius, skip)
 		scanned += n
 		if !hit {
 			res.Unique++
+		}
+		if i == 0 {
+			if err := at("uniqueness.scan"); err != nil {
+				return UniquenessResult{}, 0, err
+			}
 		}
 	}
 	res.Uniqueness = float64(res.Unique) / float64(res.Rows)
@@ -318,8 +324,9 @@ func (ix *index) novelty(suite string, radius float64) (NoveltyResult, int, erro
 	}
 	perBench := make(map[string]*UniquenessResult)
 	var order []string
+	qn := make([]float64, ix.dim)
 	for _, r := range rows {
-		hit, n := ix.hasNeighborWithin(r, radius, skip)
+		hit, n := ix.hasNeighborWithin(ix.row(r, qn), radius, skip)
 		scanned += n
 		id := ix.entries[r].bench
 		ur := perBench[id]
@@ -357,12 +364,16 @@ type ivfIndex struct {
 	lists    [][]int32 // member rows per list, ascending
 }
 
-// ivfLayer lazily builds the coarse partition. A corpus too small to
-// profit (fewer than two rows per would-be list) stays exact-only.
+// ivfLayer returns the coarse partition, building it on first use. A
+// corpus too small to profit (fewer than two rows per would-be list)
+// stays exact-only and returns nil.
 func (ix *index) ivfLayer() *ivfIndex {
-	if ix.ivf != nil {
-		return ix.ivf
-	}
+	ix.ivfOnce.Do(func() { ix.ivf = ix.buildIVF() })
+	return ix.ivf
+}
+
+// buildIVF partitions the rows under a coarse quantizer.
+func (ix *index) buildIVF() *ivfIndex {
 	n := len(ix.entries)
 	nlist := int(math.Sqrt(float64(n)))
 	if nlist > ivfNlistCap {
@@ -374,8 +385,13 @@ func (ix *index) ivfLayer() *ivfIndex {
 	// The coarse quantizer is a small deterministic k-means over the
 	// normalized corpus — fixed seed, fixed options, worker-independent
 	// by the cluster package's contract — so the partition (and with it
-	// every probed answer) is a pure function of the record set.
-	res, err := cluster.KMeans(ix.norm, nlist, cluster.Options{
+	// every probed answer) is a pure function of the record set. Its
+	// row-major input is gathered from the blocks for the build only.
+	norm := stats.NewMatrix(n, ix.dim)
+	for r := 0; r < n; r++ {
+		ix.row(r, norm.Row(r))
+	}
+	res, err := cluster.KMeans(norm, nlist, cluster.Options{
 		MaxIters: 25, Restarts: 1, Seed: 1,
 	})
 	if err != nil {
@@ -392,7 +408,6 @@ func (ix *index) ivfLayer() *ivfIndex {
 	for row, a := range res.Assignments {
 		ivf.lists[a] = append(ivf.lists[a], int32(row))
 	}
-	ix.ivf = ivf
 	return ivf
 }
 
@@ -418,23 +433,39 @@ func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 
+	// Dots a block at a time, column by column: the rows ascend, so each
+	// block's candidates form one run, and sweeping its columns in order
+	// walks the block's memory front to back instead of striding across
+	// it once per row. Each dot still sums in strictly ascending
+	// coordinate order, the exact scan's arithmetic (DotCols' per-column
+	// sum order on both its paths), and with the same stored block norm
+	// every distance is bit-identical to the exact scan's.
+	rowDots := make([]float64, len(rows))
+	for lo := 0; lo < len(rows); {
+		blk := &ix.blocks[int(rows[lo])/scanBlockRows]
+		hi := lo + 1
+		for hi < len(rows) && int(rows[hi]) < blk.start+blk.n {
+			hi++
+		}
+		run, out := rows[lo:hi], rowDots[lo:hi]
+		for j, q := range qn {
+			col := blk.ct[j*blk.n : (j+1)*blk.n]
+			for c, r := range run {
+				out[c] += q * col[int(r)-blk.start]
+			}
+		}
+		lo = hi
+	}
+
 	qq := kernel.SquaredNorm(qn)
 	var cand []candidate
-	for _, r := range rows {
+	for c, r := range rows {
 		row := int(r)
 		if skip != nil && skip(row) {
 			continue
 		}
-		// Bit-identical to the exact scan's arithmetic: the same stored
-		// block norm, and the dot in strictly ascending coordinate order
-		// (DotCols' per-column sum order on both its paths).
 		blk := &ix.blocks[row/scanBlockRows]
-		rv := ix.norm.Row(row)
-		dot := 0.0
-		for j, q := range qn {
-			dot += q * rv[j]
-		}
-		d2 := qq + blk.norms[row-blk.start] - 2*dot
+		d2 := qq + blk.norms[row-blk.start] - 2*rowDots[c]
 		if d2 < 0 {
 			d2 = 0
 		}

@@ -23,15 +23,10 @@ func openWith(t *testing.T, batches ...Batch) *Corpus {
 	return c
 }
 
-// testIndex exposes the in-memory index of c.
+// testIndex exposes the in-memory index of c's current snapshot.
 func testIndex(t *testing.T, c *Corpus) *index {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := c.indexLocked()
+	_, ix, err := c.load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +34,16 @@ func testIndex(t *testing.T, c *Corpus) *index {
 }
 
 // naiveNearest is the obviously-correct reference: full scan with
-// per-row squared distances, sorted by (d2, row).
+// per-row squared distances over rows gathered one at a time, sorted by
+// (d2, row).
 func naiveNearest(ix *index, qn []float64, k int, skip func(int) bool) []candidate {
 	var all []candidate
+	rv := make([]float64, ix.dim)
 	for row := 0; row < len(ix.entries); row++ {
 		if skip != nil && skip(row) {
 			continue
 		}
-		rv := ix.norm.Row(row)
+		ix.row(row, rv)
 		d2 := 0.0
 		for j, q := range qn {
 			d := q - rv[j]

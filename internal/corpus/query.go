@@ -77,9 +77,11 @@ type QueryResponse struct {
 
 // Query answers one request against the corpus as currently on disk
 // (the manifest is re-read, so ingests by other processes are visible).
-// Request errors — unknown op, missing argument, a benchmark the corpus
-// has never seen — are the caller's to map (the service turns them into
-// 400s); they never panic.
+// It takes no lock: the answer comes from one immutable snapshot, so an
+// ingest or compaction that publishes mid-scan neither waits for it nor
+// changes it. Request errors — unknown op, missing argument, a
+// benchmark the corpus has never seen — are the caller's to map (the
+// service turns them into 400s); they never panic.
 func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 	t0 := time.Now()
 	if req.K == 0 {
@@ -98,12 +100,7 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 		return nil, fmt.Errorf("corpus: negative probe %d", req.Probe)
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		return nil, err
-	}
-	ix, err := c.indexLocked()
+	sn, ix, err := c.load()
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +111,7 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 	resp := &QueryResponse{Op: req.Op}
 	switch req.Op {
 	case "stats":
-		st := c.statsLocked(ix)
+		st := sn.stats(ix)
 		resp.Stats = &st
 
 	case "nearest":
@@ -140,7 +137,7 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 			return nil, fmt.Errorf(`corpus: op "uniqueness" needs a bench ("suite/name")`)
 		}
 		resp.Radius = req.Radius
-		u, scanned, err := ix.uniqueness(req.Bench, req.Radius)
+		u, scanned, err := ix.uniqueness(req.Bench, req.Radius, c.failAt)
 		if err != nil {
 			return nil, err
 		}
@@ -167,16 +164,16 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 	return resp, nil
 }
 
-// statsLocked is Stats without re-taking the lock or reloading.
-func (c *Corpus) statsLocked(ix *index) Stats {
+// stats summarizes the snapshot; ix is its index.
+func (sn *snapshot) stats(ix *index) Stats {
 	st := Stats{
 		Records:  len(ix.entries),
 		Benches:  len(ix.byBench),
 		Suites:   len(ix.bySuite),
-		Segments: len(c.man.segments),
-		Ingests:  len(c.man.ledger),
-		Dim:      int(c.man.dim),
-		NextSeq:  c.man.nextSeq,
+		Segments: len(sn.man.segments),
+		Ingests:  len(sn.man.ledger),
+		Dim:      int(sn.man.dim),
+		NextSeq:  sn.man.nextSeq,
 	}
 	for i := range ix.entries {
 		if ix.entries[i].kind == KindCentroid {
@@ -220,7 +217,7 @@ func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, skip func(in
 			return nil, nil, "", fmt.Errorf("corpus: no interval %q in the corpus", req.Ref)
 		}
 		skip = func(i int) bool { return ix.entries[i].bench == bench }
-		return ix.norm.Row(row), skip, req.Ref, nil
+		return ix.row(row, make([]float64, ix.dim)), skip, req.Ref, nil
 	default:
 		return nil, nil, "", fmt.Errorf(`corpus: op "nearest" needs a ref ("suite/bench#index") or a vector`)
 	}

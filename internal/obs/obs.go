@@ -18,9 +18,12 @@
 //
 // When enabled, counters are lock-free (sync/atomic); the Metrics mutex
 // guards only the name->counter registry and the completed-span list,
-// which are touched per stage, not per event. Metrics values never feed
-// back into any computation, so instrumenting a stage cannot perturb the
-// pipeline's worker-count-independent determinism guarantee.
+// which are touched per stage, not per event. The span list keeps the
+// most recent maxSpans spans, so a long-lived collector (the service's)
+// stays bounded; one-shot runs record far fewer. Metrics values never
+// feed back into any computation, so instrumenting a stage cannot
+// perturb the pipeline's worker-count-independent determinism
+// guarantee.
 package obs
 
 import (
@@ -78,6 +81,12 @@ type SpanRecord struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
+// maxSpans bounds the completed-span list. Past it the oldest span is
+// dropped for each new one, and the "obs.spans_dropped" counter (created
+// on the first drop, so reports of runs under the cap are unchanged)
+// counts the drops.
+const maxSpans = 4096
+
 // Metrics collects one run's counters and spans. Use New; a nil *Metrics
 // is the disabled observability layer and every method on it is a no-op.
 type Metrics struct {
@@ -87,7 +96,9 @@ type Metrics struct {
 	tool       string
 	counters   map[string]*Counter
 	histograms map[string]*Histogram
-	spans      []SpanRecord
+	// spans is a ring once full: spans[oldest] is the oldest retained.
+	spans  []SpanRecord
+	oldest int
 }
 
 // New returns an enabled metrics collector; the run's clock starts now.
@@ -204,9 +215,21 @@ func (s *Span) End() {
 		Bytes:        s.bytes,
 		Resumed:      s.resumed,
 	}
-	s.m.mu.Lock()
-	s.m.spans = append(s.m.spans, rec)
-	s.m.mu.Unlock()
+	m := s.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.spans) < maxSpans {
+		m.spans = append(m.spans, rec)
+		return
+	}
+	m.spans[m.oldest] = rec
+	m.oldest = (m.oldest + 1) % maxSpans
+	dropped := m.counters["obs.spans_dropped"]
+	if dropped == nil {
+		dropped = &Counter{}
+		m.counters["obs.spans_dropped"] = dropped
+	}
+	dropped.Inc()
 }
 
 // Report is the machine-readable run report: everything the collector
@@ -219,7 +242,8 @@ type Report struct {
 	// WallSeconds is the collector's age at snapshot time — the run's
 	// total wall clock when the report is written at exit.
 	WallSeconds float64 `json:"wall_seconds"`
-	// Spans lists completed stage spans in completion order.
+	// Spans lists completed stage spans in completion order (the most
+	// recent maxSpans of them).
 	Spans []SpanRecord `json:"spans"`
 	// Counters holds every registered counter's final value.
 	Counters map[string]int64 `json:"counters"`
@@ -242,7 +266,7 @@ func (m *Metrics) Snapshot() *Report {
 		Tool:        m.tool,
 		Started:     m.start.Format(time.RFC3339),
 		WallSeconds: time.Since(m.start).Seconds(),
-		Spans:       append([]SpanRecord(nil), m.spans...),
+		Spans:       append(append([]SpanRecord(nil), m.spans[m.oldest:]...), m.spans[:m.oldest]...),
 		Counters:    make(map[string]int64, len(m.counters)),
 	}
 	for name, c := range m.counters {

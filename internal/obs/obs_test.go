@@ -101,6 +101,41 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestSpanRetentionCap: at the cap every span is kept and no drop
+// counter exists (reports under the cap are unchanged); past it the
+// report keeps exactly the most recent maxSpans in completion order and
+// counts the drops.
+func TestSpanRetentionCap(t *testing.T) {
+	m := New()
+	for i := 0; i < maxSpans; i++ {
+		m.StartSpan("stage").SetRows(i).End()
+	}
+	r := m.Snapshot()
+	if len(r.Spans) != maxSpans || r.Spans[0].Rows != 0 || r.Spans[maxSpans-1].Rows != maxSpans-1 {
+		t.Fatalf("at the cap: %d spans, first rows=%d", len(r.Spans), r.Spans[0].Rows)
+	}
+	if _, ok := r.Counters["obs.spans_dropped"]; ok {
+		t.Fatal("obs.spans_dropped exists before any span was dropped")
+	}
+
+	const extra = maxSpans + 123 // wraps the ring more than once
+	for i := maxSpans; i < maxSpans+extra; i++ {
+		m.StartSpan("stage").SetRows(i).End()
+	}
+	r = m.Snapshot()
+	if len(r.Spans) != maxSpans {
+		t.Fatalf("past the cap: %d spans retained, want %d", len(r.Spans), maxSpans)
+	}
+	for i, s := range r.Spans {
+		if want := extra + i; s.Rows != want {
+			t.Fatalf("span %d has rows=%d, want %d (most recent, in completion order)", i, s.Rows, want)
+		}
+	}
+	if got := r.Counters["obs.spans_dropped"]; got != extra {
+		t.Fatalf("obs.spans_dropped = %d, want %d", got, extra)
+	}
+}
+
 // TestReportRoundTrip writes a populated report and reads it back through
 // encoding/json, requiring every field to survive.
 func TestReportRoundTrip(t *testing.T) {

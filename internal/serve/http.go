@@ -103,11 +103,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
+// jobFor resolves the request's job ID, answering 404 (never issued) or
+// 410 (evicted under the retention budget) itself when there is none.
+func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	j, code := s.lookup(r.PathValue("id"))
+	switch code {
+	case http.StatusOK:
+		return j, true
+	case http.StatusGone:
+		http.Error(w, "job is gone (evicted under the result retention budget)", code)
+	default:
+		http.Error(w, "no such job", code)
+	}
+	return nil, false
+}
+
 // handleStatus serves a job's Status snapshot.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFor(w, r)
 	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	st, _ := j.status()
@@ -119,9 +133,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // A failed job is 500 with its error, a cancelled one 409, an
 // unfinished one without wait 202 with the Status snapshot.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFor(w, r)
 	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	st, ch := j.status()
@@ -151,9 +164,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleCancel cancels a still-queued job; a running or finished one is
 // 409 (the pipeline has no safe preemption points).
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFor(w, r)
 	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	if !j.cancelQueued() {
@@ -162,6 +174,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobsCancel.Inc()
+	s.retire(j)
 	st, _ := j.status()
 	writeJSON(w, http.StatusOK, st)
 }
@@ -170,9 +183,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // current snapshot immediately, then one event per transition, closing
 // after the terminal state (or when the client goes away).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFor(w, r)
 	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	flusher, ok := w.(http.Flusher)

@@ -24,6 +24,9 @@
 //	GET  /metrics            the live obs run report (queue depth,
 //	                         admission rejects, cache traffic,
 //	                         per-endpoint latency histograms)
+//
+// The four job endpoints answer 410 Gone for a job the result retention
+// budget has evicted; see resultBudget.
 package serve
 
 import (
@@ -33,6 +36,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -92,6 +96,10 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*job
 	nextID int64
+	// finished lists the terminal jobs still in jobs, oldest first;
+	// retained is what they cost against resultBudget.
+	finished []*job
+	retained int64
 
 	workers  sync.WaitGroup
 	stop     chan struct{}
@@ -104,7 +112,20 @@ type Server struct {
 	jobsDone     *obs.Counter
 	jobsFailed   *obs.Counter
 	jobsCancel   *obs.Counter
+	jobsEvicted  *obs.Counter
+	resultBytes  *obs.Counter
 }
+
+// resultBudget bounds what finished jobs retain: each costs its result
+// bytes plus jobEntryBytes for its table entry, and once the total is
+// over the budget the oldest finished jobs leave the job table (their
+// IDs then answer 410 Gone). Queued and running jobs are never evicted;
+// the queue depth bounds them. A ?wait=1 fetch already waiting on a job
+// holds the job itself and still receives its bytes.
+const (
+	resultBudget  = 8 << 20
+	jobEntryBytes = 512
+)
 
 // drainTimeout bounds the HTTP drain after Serve's context is
 // cancelled. Result downloads and event streams are fast; jobs running
@@ -152,6 +173,8 @@ func New(cfg Config) (*Server, error) {
 		jobsDone:     cfg.Metrics.Counter("serve.jobs_done"),
 		jobsFailed:   cfg.Metrics.Counter("serve.jobs_failed"),
 		jobsCancel:   cfg.Metrics.Counter("serve.jobs_cancelled"),
+		jobsEvicted:  cfg.Metrics.Counter("serve.jobs_evicted"),
+		resultBytes:  cfg.Metrics.Counter("serve.result_bytes"),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -190,7 +213,7 @@ func (s *Server) submit(tenant string, spec JobSpec) (*job, error) {
 
 	s.mu.Lock()
 	s.nextID++
-	j := newJob(fmt.Sprintf("j%08d", s.nextID), tenant, spec)
+	j := newJob(jobID(s.nextID), tenant, spec)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 
@@ -219,12 +242,46 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.err.Error() }
 
-// lookup finds a job by ID.
-func (s *Server) lookup(id string) (*job, bool) {
+// jobID renders the n-th issued job ID.
+func jobID(n int64) string { return fmt.Sprintf("j%08d", n) }
+
+// lookup finds a job by ID. Without one it answers the HTTP status the
+// ID deserves: 410 Gone for an ID this server issued (it was evicted,
+// or its submission was refused), 404 for any other.
+func (s *Server) lookup(id string) (*job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, http.StatusOK
+	}
+	if len(id) > 1 && id[0] == 'j' {
+		if n, err := strconv.ParseInt(id[1:], 10, 64); err == nil && n >= 1 && n <= s.nextID && jobID(n) == id {
+			return nil, http.StatusGone
+		}
+	}
+	return nil, http.StatusNotFound
+}
+
+// retire charges a job that just reached its terminal state against
+// resultBudget, then evicts the oldest finished jobs while the budget
+// is exceeded.
+func (s *Server) retire(j *job) {
+	n := int64(len(j.payload()))
+	s.resultBytes.Add(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j)
+	s.retained += n + jobEntryBytes
+	for s.retained > resultBudget {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		n := int64(len(old.payload()))
+		s.retained -= n + jobEntryBytes
+		s.resultBytes.Add(-n)
+		s.jobsEvicted.Inc()
+	}
 }
 
 // workerLoop pulls queued jobs until the server closes.
@@ -250,6 +307,7 @@ func (s *Server) runJob(j *job) {
 		// A cancel won the race while the job was queued.
 		return
 	}
+	defer s.retire(j)
 	defer func() {
 		if r := recover(); r != nil {
 			j.finish(StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r))
@@ -306,7 +364,11 @@ func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
 	if err := res.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// An exact-size copy: the buffer's spare capacity would otherwise
+	// be retained with the result, uncounted by resultBudget.
+	out := make([]byte, buf.Len())
+	copy(out, buf.Bytes())
+	return out, nil
 }
 
 // Serve binds addr, reports the bound address through ready (may be

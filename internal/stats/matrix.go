@@ -134,6 +134,14 @@ func (m *Matrix) Normalize() (*Matrix, ColumnStats) {
 	return out, cs
 }
 
+// NormalizeInPlace is Normalize overwriting m instead of allocating a
+// copy: the same statistics and the same arithmetic, bit for bit.
+func (m *Matrix) NormalizeInPlace() ColumnStats {
+	cs := m.ColumnMeansStds()
+	m.normalizeInto(m, &cs)
+	return cs
+}
+
 // normalizeInto centers (and, where cs.Std > 0, scales) m into the
 // pre-sized dst using the provided column statistics.
 func (m *Matrix) normalizeInto(dst *Matrix, cs *ColumnStats) {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo verification gate: build, vet, the full test suite, vet and tests
-# of the perfbench module, the race detector over every package, short
-# fuzz runs over every binary decoder, the shard-merge/resume
+# of the perfbench module, the race detector over every package, the
+# corpus-snapshot and service-retention concurrency tests repeated under
+# the race detector, short fuzz runs over every binary decoder, the shard-merge/resume
 # equivalence check on the quick pipeline, the warm-cache append
 # byte-identity gate, the distributed loopback gate (networked workers
 # with injected faults and a mid-run worker kill), the workload-model
@@ -50,6 +51,16 @@ echo "== perfbench: vet and test (its own module)"
 
 echo "== go test -race ./..."
 go test -race -count=1 ./...
+
+echo "== corpus snapshot and service retention concurrency (-race -count=10)"
+# Lock-free corpus reads and bounded job retention are interleaving
+# properties: a parked scan that must not block writers or change its
+# answer, racing probed queries on the lazy IVF build, two handles on
+# one directory, and the service soak. Repeat them so a rare schedule
+# has ten chances to show.
+go test -race -count=10 \
+  -run '^(TestParkedScanDoesNotBlock|TestConcurrentProbedQueries|TestHandlesShareOneDirectory)$' ./internal/corpus/
+go test -race -count=10 -run '^TestSoakBoundedRetention$' ./internal/serve/
 
 echo "== shardnet -race at pinned worker counts"
 # The distributed invariant must hold at any compute parallelism; pin it
