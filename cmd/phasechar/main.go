@@ -24,12 +24,12 @@
 //	phasechar -cache .cache -merge 3 export      # merge + analysis
 //	phasechar -cache .cache -resume export       # rerun: recomputes nothing
 //
-// Or split across machines with no shared filesystem: each worker runs a
-// shard server, and the coordinator ships shards over HTTP (the result is
-// byte-identical to a single-process run, whatever workers or faults the
-// run sees):
+// Or split across machines with no shared filesystem: each worker runs
+// the characterization service, and the coordinator ships shards to its
+// POST /shard over HTTP (the result is byte-identical to a
+// single-process run, whatever workers or faults the run sees):
 //
-//	phasechar -addr 10.0.0.2:8421 serve          # on each worker machine
+//	phasechar -cache .wcache -addr 10.0.0.2:8421 service  # on each worker
 //	phasechar -cache .cache \
 //	    -workers-addr 10.0.0.2:8421,10.0.0.3:8421 export
 //
@@ -94,7 +94,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/serve"
-	"repro/internal/shardnet"
 )
 
 func main() {
@@ -123,8 +122,8 @@ func run() (err error) {
 		resume      = flag.Bool("resume", false, "skip every pipeline stage whose artifact is already in -cache and valid (a rerun with the same config recomputes nothing)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file")
-		serveAddr   = flag.String("addr", "127.0.0.1:0", "with the 'serve' target: address to serve shard requests on (port 0: ephemeral)")
-		workersAddr = flag.String("workers-addr", "", "comma-separated shard-worker addresses (host:port): distribute the characterization shards over HTTP before the analysis (requires -cache; default shard count: one per worker)")
+		serveAddr   = flag.String("addr", "127.0.0.1:0", "with the 'service' target: address to serve jobs, corpus queries and shard requests on (port 0: ephemeral)")
+		workersAddr = flag.String("workers-addr", "", "comma-separated addresses (host:port) of 'service' processes acting as shard workers: distribute the characterization shards over HTTP before the analysis (requires -cache; default shard count: one per worker)")
 		rpcTimeout  = flag.Duration("rpc-timeout", 30*time.Second, "per-shard-request deadline for -workers-addr runs")
 		rpcRetries  = flag.Int("rpc-retries", 2, "extra attempts per worker per shard before the worker is declared dead")
 		rpcFaults   = flag.String("rpc-faults", "", "inject transport faults into -workers-addr runs, e.g. '0:5xx,corrupt;2:down' (workerIndex:kinds; kinds: drop delay corrupt 5xx hang down) — for testing; never changes results")
@@ -155,7 +154,7 @@ func run() (err error) {
 		return fmt.Errorf("-merge %d: shard count must be positive", *mergeN)
 	}
 	if *workersAddr != "" && *shardSpec != "" {
-		return fmt.Errorf("-workers-addr and -shard are different roles: the coordinator distributes shards, a worker serves or computes one")
+		return fmt.Errorf("-workers-addr and -shard are different roles: the coordinator distributes shards, a worker computes one")
 	}
 	if *workersAddr != "" && *cacheDir == "" {
 		return fmt.Errorf("-workers-addr needs -cache (fetched shard artifacts are stored there for the merge)")
@@ -247,8 +246,7 @@ func run() (err error) {
 		fmt.Printf("  %-19s %s\n", "export", "run the pipeline and dump a JSON summary to stdout")
 		fmt.Printf("  %-19s %s\n", "simpoints <bench>", "select weighted simulation points for one benchmark (section 5.3)")
 		fmt.Printf("  %-19s %s\n", "shard", "characterize one shard of the benchmarks (-shard i/n, requires -cache)")
-		fmt.Printf("  %-19s %s\n", "serve", "serve shard computations over HTTP for a -workers-addr coordinator (-addr host:port)")
-		fmt.Printf("  %-19s %s\n", "service", "run the long-lived characterization service: analysis jobs over HTTP against a shared -cache (-addr host:port)")
+		fmt.Printf("  %-19s %s\n", "service", "run the long-lived characterization service: analysis jobs, corpus queries and -workers-addr shard requests over HTTP against a shared -cache (-addr host:port)")
 		fmt.Printf("  %-19s %s\n", "submit", "submit this invocation's parameters as a job to a running service (-server URL) and print the result JSON")
 		fmt.Printf("  %-19s %s\n", "query <op> [arg]", "answer a phase-corpus question from -corpus: stats | nearest suite/bench#index | uniqueness suite/bench | novelty Suite")
 		fmt.Printf("  %-19s %s\n", "compact", "merge the -corpus segments into one (queries answer identically before and after)")
@@ -288,19 +286,6 @@ func run() (err error) {
 		return err
 	}
 
-	if target == "serve" {
-		srv := &shardnet.Server{Reg: reg, Workers: *workers, CacheDir: *cacheDir, Metrics: m, Logf: logf}
-		// SIGINT/SIGTERM drain in-flight shard requests instead of
-		// killing them mid-frame; a clean drain exits 0.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return srv.Serve(ctx, *serveAddr, func(a net.Addr) {
-			// The bound address goes to stdout so scripts starting workers on
-			// ephemeral ports (-addr host:0) can scrape where to reach them.
-			fmt.Printf("phasechar: listening at http://%s\n", a)
-		})
-	}
-
 	if target == "service" {
 		if *cacheDir == "" {
 			return fmt.Errorf("the service target needs -cache (jobs share artifacts through it)")
@@ -325,6 +310,7 @@ func run() (err error) {
 			Metrics:     sm,
 			Logf:        logf,
 			CorpusDir:   corpusFlags.Dir,
+			Registry:    reg,
 			IngestJobs:  corpusFlags.Ingest,
 		})
 		if err != nil {
@@ -397,7 +383,7 @@ func run() (err error) {
 			// One shard per worker unless -merge chose a finer split.
 			cfg.Shard = core.ShardSpec{Index: 0, Count: len(urls)}
 		}
-		coord := &shardnet.Coordinator{
+		coord := &serve.Coordinator{
 			Workers: urls,
 			Timeout: *rpcTimeout,
 			Retries: *rpcRetries,
@@ -410,7 +396,7 @@ func run() (err error) {
 			for i, u := range urls {
 				_, hosts[i], _ = strings.Cut(u, "://")
 			}
-			faults := shardnet.NewFaults(nil, *seed)
+			faults := serve.NewFaults(nil, *seed)
 			if err := faults.AddSpec(*rpcFaults, hosts); err != nil {
 				return err
 			}

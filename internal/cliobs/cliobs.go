@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -144,25 +145,32 @@ func Setup(tool, reportPath string, summary bool, addr string) (*obs.Metrics, fu
 	m := obs.New()
 	m.SetTool(tool)
 	par.Instrument(m)
-	var stopServe func(context.Context) error
+	stopServe := func() {}
 	if addr != "" {
-		bound, shutdown, err := m.Serve(addr)
-		if err != nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		bound := make(chan net.Addr, 1)
+		served := make(chan error, 1)
+		go func() {
+			// Scrapes in flight at exit drain for up to 2 s; one that
+			// cannot finish in time is dropped with the process.
+			served <- obs.Serve(ctx, addr, m.DebugHandler(), 2*time.Second, func(a net.Addr) { bound <- a })
+		}()
+		select {
+		case a := <-bound:
+			fmt.Fprintf(os.Stderr, "%s: serving metrics at http://%s/metrics (and /debug/pprof)\n", tool, a)
+		case err := <-served:
+			cancel()
 			par.Instrument(nil)
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("obs: metrics endpoint: %w", err)
 		}
-		stopServe = shutdown
-		fmt.Fprintf(os.Stderr, "%s: serving metrics at http://%s/metrics (and /debug/pprof)\n", tool, bound)
+		stopServe = func() {
+			cancel()
+			<-served
+		}
 	}
 	finish := func(errp *error) {
 		par.Instrument(nil)
-		if stopServe != nil {
-			// Drain in-flight metrics scrapes instead of killing them with
-			// the process; a scrape that cannot finish in time is dropped.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = stopServe(ctx)
-			cancel()
-		}
+		stopServe()
 		if reportPath != "" {
 			if werr := m.WriteReport(reportPath); werr != nil && *errp == nil {
 				*errp = werr

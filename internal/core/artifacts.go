@@ -30,7 +30,7 @@ import (
 // v2: shard artifacts carry their producing artifactVersion in the
 // payload itself, so a shard produced under a different schema is
 // rejected by the decoder even when it arrives outside the keyed cache
-// (e.g. over the shardnet wire).
+// (e.g. in a /shard reply from another process).
 // v3: analysis kernels moved to internal/kernel's blocked reductions
 // (fixed four-lane and serial-column orders), which reorders
 // floating-point sums in k-means, PCA projection and distance

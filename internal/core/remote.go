@@ -1,18 +1,19 @@
 package core
 
-// Remote-shard entry points: the pieces of the engine that the
-// distributed shard service (internal/shardnet) needs across a process
-// or machine boundary. A shardnet worker characterizes one shard and
-// ships the encoded artifact back (EncodeShard); the coordinator
-// verifies it against its own registry and configuration and stores it
-// through the ordinary fcache shard kind (PutShardArtifact), so a
-// networked run and a local run share one cache and one merge path —
-// and therefore one byte-identical result.
+// Remote-shard entry points: the pieces of the engine that distributed
+// shard work (the service's POST /shard and its coordinator,
+// internal/serve) needs across a process or machine boundary. A worker
+// characterizes one shard and ships it back as an fcache entry
+// (EncodeShard); the coordinator decodes that entry under the key its own
+// plan computes, verifies it, and stores it through the ordinary fcache
+// shard kind (PutShardArtifact), so a networked run and a local run share
+// one cache and one merge path — and therefore one byte-identical result.
 
 import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/fcache"
 )
 
 // ShardArtifactVersion is the schema version of encoded shard artifacts
@@ -48,8 +49,9 @@ func normalizeShard(cfg Config) (int, int, error) {
 }
 
 // EncodeShard characterizes shard cfg.Shard of the sampled dataset and
-// returns the encoded shard artifact — the worker half of a distributed
-// run. Unlike CharacterizeShard it does not require a cache directory:
+// returns the shard artifact as a complete fcache entry (magic, the
+// shard's full key, payload length, checksum) — the worker half of a
+// distributed run. Unlike CharacterizeShard it does not require a cache directory:
 // a stateless worker computes the shard in memory and ships the bytes;
 // a worker with cfg.CacheDir set additionally persists (and on a rerun
 // reuses) the artifact locally.
@@ -87,7 +89,11 @@ func EncodeShard(reg *bench.Registry, cfg Config, logf func(string, ...any)) ([]
 	if err != nil {
 		return nil, nil, err
 	}
-	return payload, &ShardInfo{
+	// A stateless worker has no key chain (eng.keys is nil without a
+	// cache); the shard key needs only the dataset parameters.
+	key := newArtifactKeys(reg, cfg, 0).shardKey(p.index, p.count, p.benches, len(p.refs))
+	entry := fcache.EncodeEntry(key, payload)
+	return entry, &ShardInfo{
 		Index:           index,
 		Count:           count,
 		Benchmarks:      len(p.benches),
@@ -98,15 +104,18 @@ func EncodeShard(reg *bench.Registry, cfg Config, logf func(string, ...any)) ([]
 	}, nil
 }
 
-// PutShardArtifact verifies an encoded shard artifact against the local
-// registry and configuration and stores it in cfg.CacheDir under the
-// shard's content-addressed key — the coordinator half of a distributed
-// run. Verification is strict: the payload must decode under the current
-// schema version and must hold exactly the intervals the local shard
-// plan expects, in plan order. A payload that fails is rejected (the
-// shard stays uncached and the merge run recomputes it locally); it is
-// never stored.
-func PutShardArtifact(reg *bench.Registry, cfg Config, payload []byte) (*ShardInfo, error) {
+// PutShardArtifact verifies a shard entry from EncodeShard against the
+// local registry and configuration and stores its artifact in
+// cfg.CacheDir under the shard's content-addressed key — the coordinator
+// half of a distributed run. Verification is strict. The entry must
+// decode under the key the local plan computes, which checks in one step
+// the checksum, the schema version (Key.Version), the dataset identity
+// (Key.Behavior) and the shard coordinates (Key.Seed, Key.Length). The
+// artifact must then hold exactly the intervals the local shard plan
+// expects, in plan order. An entry that fails is rejected (the shard
+// stays uncached and the merge run recomputes it locally); it is never
+// stored.
+func PutShardArtifact(reg *bench.Registry, cfg Config, entry []byte) (*ShardInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -120,23 +129,27 @@ func PutShardArtifact(reg *bench.Registry, cfg Config, payload []byte) (*ShardIn
 	if reg.Len() == 0 {
 		return nil, fmt.Errorf("core: empty benchmark registry")
 	}
-	var art shardArtifact
-	if err := art.UnmarshalBinary(payload); err != nil {
-		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
-	}
 	refs := SampleRefs(reg, cfg)
 	eng, err := newEngine(reg, cfg, refs, func(string, ...any) {})
 	if err != nil {
 		return nil, err
 	}
 	p := eng.planShards(refs)[index]
+	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
+	payload, err := fcache.DecodeEntry(key, entry)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %d/%d entry rejected: %w", index, count, err)
+	}
+	var art shardArtifact
+	if err := art.UnmarshalBinary(payload); err != nil {
+		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
+	}
 	if err := verifyShardCoverage(&art, p); err != nil {
 		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
 	}
-	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
 	// Store the payload bytes as received: the codec round-trips
-	// bit-identically, and keeping the wire bytes means the cache entry
-	// checksum covers exactly what the worker produced.
+	// bit-identically, so the cache entry is byte for byte the entry the
+	// worker sent.
 	if err := eng.cache.Put(key, payload); err != nil {
 		return nil, err
 	}

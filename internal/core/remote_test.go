@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/fcache"
 	"repro/internal/obs"
 )
 
@@ -30,7 +32,7 @@ func TestEncodePutRoundTrip(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		workerCfg := miniConfig() // stateless: no cache directory
 		workerCfg.Shard = ShardSpec{Index: s, Count: 2}
-		payload, info, err := EncodeShard(reg, workerCfg, noLog)
+		entry, info, err := EncodeShard(reg, workerCfg, noLog)
 		if err != nil {
 			t.Fatalf("EncodeShard %d: %v", s, err)
 		}
@@ -39,7 +41,7 @@ func TestEncodePutRoundTrip(t *testing.T) {
 		}
 		putCfg := cfg
 		putCfg.Shard = ShardSpec{Index: s, Count: 2}
-		if _, err := PutShardArtifact(reg, putCfg, payload); err != nil {
+		if _, err := PutShardArtifact(reg, putCfg, entry); err != nil {
 			t.Fatalf("PutShardArtifact %d: %v", s, err)
 		}
 	}
@@ -61,35 +63,60 @@ func TestEncodePutRoundTrip(t *testing.T) {
 	}
 }
 
+// shardKeyFor is the fcache key of shard cfg.Shard under (reg, cfg).
+func shardKeyFor(t *testing.T, reg *bench.Registry, cfg Config) fcache.Key {
+	t.Helper()
+	cfg.CacheDir = t.TempDir()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	refs := SampleRefs(reg, cfg)
+	eng, err := newEngine(reg, cfg, refs, noLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := eng.planShards(refs)[cfg.Shard.Index]
+	return eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
+}
+
 // TestPutShardArtifactRejects pins the coordinator-side verification:
-// payloads with a skewed schema version, damaged bytes, or the wrong
-// shard's intervals are rejected and never stored.
+// entries with a skewed schema version (in the key or inside the
+// payload), damaged bytes, or the wrong shard's intervals are rejected
+// and never stored.
 func TestPutShardArtifactRejects(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
 	cfg.Shard = ShardSpec{Index: 0, Count: 2}
-	payload, _, err := EncodeShard(reg, cfg, noLog)
+	entry, _, err := EncodeShard(reg, cfg, noLog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := shardKeyFor(t, reg, cfg)
+	payload, err := fcache.DecodeEntry(key, entry)
+	if err != nil {
+		t.Fatalf("EncodeShard entry does not decode under the shard key: %v", err)
+	}
 	cfg.CacheDir = t.TempDir()
 
+	staleKey := key
+	staleKey.Version--
+	if _, err := PutShardArtifact(reg, cfg, fcache.EncodeEntry(staleKey, payload)); err == nil {
+		t.Error("entry keyed under a stale schema version accepted")
+	}
 	stale := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(stale, artifactVersion()-1)
-	if _, err := PutShardArtifact(reg, cfg, stale); err == nil {
+	if _, err := PutShardArtifact(reg, cfg, fcache.EncodeEntry(key, stale)); err == nil {
 		t.Error("stale-version payload accepted")
 	}
 
-	// Structural damage (truncation) must be rejected here; bit flips in
-	// float data are the transport checksum's job, not coverage checking.
-	if _, err := PutShardArtifact(reg, cfg, payload[:len(payload)-5]); err == nil {
-		t.Error("truncated payload accepted")
+	if _, err := PutShardArtifact(reg, cfg, entry[:len(entry)-5]); err == nil {
+		t.Error("truncated entry accepted")
 	}
 
 	wrongShard := cfg
 	wrongShard.Shard = ShardSpec{Index: 1, Count: 2}
-	if _, err := PutShardArtifact(reg, wrongShard, payload); err == nil {
-		t.Error("shard 0 payload accepted as shard 1")
+	if _, err := PutShardArtifact(reg, wrongShard, entry); err == nil {
+		t.Error("shard 0 entry accepted as shard 1")
 	}
 }
 
@@ -110,7 +137,11 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
 	cfg.Shard = ShardSpec{Index: 0, Count: 2}
-	payload, _, err := EncodeShard(reg, cfg, noLog)
+	entry, _, err := EncodeShard(reg, cfg, noLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := fcache.DecodeEntry(shardKeyFor(t, reg, cfg), entry)
 	if err != nil {
 		t.Fatal(err)
 	}

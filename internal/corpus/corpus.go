@@ -161,7 +161,7 @@ type Corpus struct {
 	compactions *obs.Counter
 
 	// fail, when non-nil, is consulted at named crash points inside
-	// ingest and compaction (in the shardnet.Faults spirit: a scripted
+	// ingest and compaction (in the serve.Faults spirit: a scripted
 	// fault schedule, injected by tests, that never exists in
 	// production). Returning an error aborts the operation exactly
 	// there, leaving the disk as a kill at that instant would. Queries

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Crash-safety tests: a scripted fault (the shardnet.Faults idiom —
+// Crash-safety tests: a scripted fault (the serve.Faults idiom —
 // injected via the unexported fail hook, never present in production)
 // aborts ingest or compaction at each of its crash points, exactly as a
 // kill there would. Reopening must observe a complete, consistent

@@ -327,8 +327,10 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// encode renders the full entry file for key + payload.
-func encode(k Key, payload []byte) []byte {
+// EncodeEntry renders the full entry file for key + payload. The same
+// bytes travel over the network as a /shard reply, so a shard crosses
+// a process boundary in exactly the form it is stored on disk.
+func EncodeEntry(k Key, payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload)+8)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], magic)
@@ -344,9 +346,10 @@ func encode(k Key, payload []byte) []byte {
 	return buf
 }
 
-// decode validates an entry file against the expected key and returns its
-// payload, or an error describing the first mismatch.
-func decode(k Key, buf []byte) ([]byte, error) {
+// DecodeEntry validates an entry against the expected key and returns its
+// payload (aliasing buf), or an error describing the first mismatch. It
+// never panics on arbitrary bytes (pinned by FuzzEntry).
+func DecodeEntry(k Key, buf []byte) ([]byte, error) {
 	le := binary.LittleEndian
 	if len(buf) < headerSize+8 {
 		return nil, fmt.Errorf("fcache: entry truncated (%d bytes)", len(buf))
@@ -424,7 +427,7 @@ func (c *Cache) get(k Key, scratch []byte) (payload []byte, ok bool) {
 		return nil, false
 	}
 	c.bytesRead.Add(int64(len(buf)))
-	payload, err = decode(k, buf)
+	payload, err = DecodeEntry(k, buf)
 	if err != nil {
 		os.Remove(string(p)) // never trust it again
 		c.hot.drop(k)
@@ -463,7 +466,7 @@ func (c *Cache) Put(k Key, payload []byte) error {
 		return fmt.Errorf("fcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encode(k, payload)); err != nil {
+	if _, err := tmp.Write(EncodeEntry(k, payload)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("fcache: %w", err)
 	}

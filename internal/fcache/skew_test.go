@@ -28,7 +28,7 @@ func TestVersionSkewIsMissAndCounted(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p, encode(stale, []byte("old payload")), 0o644); err != nil {
+	if err := os.WriteFile(p, EncodeEntry(stale, []byte("old payload")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

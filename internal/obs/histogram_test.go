@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -113,34 +109,5 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 	}
 	if histIndex(0) != 0 || histIndex(1) != 0 {
 		t.Fatal("tiny durations must land in bucket 0")
-	}
-}
-
-func TestServeGracefulShutdown(t *testing.T) {
-	m := New()
-	m.Counter("x").Add(7)
-	addr, shutdown, err := m.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"x": 7`) {
-		t.Fatalf("metrics body lacks counter: %s", body)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := shutdown(ctx); err != nil {
-		t.Fatalf("second shutdown: %v", err)
-	}
-	if _, err := http.Get(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
-		t.Fatal("endpoint still serving after shutdown")
 	}
 }

@@ -74,7 +74,7 @@ type SpanRecord struct {
 	// Workers is the stage's resolved worker count (0 if untracked).
 	Workers int `json:"workers,omitempty"`
 	// Bytes is how many payload bytes the stage moved (0 if untracked) —
-	// the network volume for RPC stages like shardnet's distribute.
+	// the network volume for RPC stages like serve's shard distribution.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Resumed marks a stage that was served from a persisted artifact
 	// instead of being computed (the pipeline engine's resume path).

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,7 +18,7 @@ import (
 
 // TestDisabledPathNoOps exercises every exported method through a nil
 // *Metrics — the disabled observability layer — and requires silent
-// no-ops (except the report/serve entry points, which must error rather
+// no-ops (except the report entry point, which must error rather
 // than silently drop an explicitly requested artifact).
 func TestDisabledPathNoOps(t *testing.T) {
 	var m *Metrics
@@ -47,9 +50,6 @@ func TestDisabledPathNoOps(t *testing.T) {
 	}
 	if err := m.WriteReport(filepath.Join(t.TempDir(), "r.json")); err == nil {
 		t.Fatal("nil Metrics WriteReport succeeded — a requested report was dropped silently")
-	}
-	if _, _, err := m.Serve("localhost:0"); err == nil {
-		t.Fatal("nil Metrics Serve succeeded")
 	}
 }
 
@@ -192,16 +192,25 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-// TestServeMetricsEndpoint starts the HTTP endpoint on an ephemeral port
-// and fetches the live report.
+// TestServeMetricsEndpoint serves the -metrics-addr handler through the
+// shared listener lifecycle on an ephemeral port and scrapes the live
+// report.
 func TestServeMetricsEndpoint(t *testing.T) {
 	m := New()
 	m.Add("fcache.hits", 3)
-	addr, _, err := m.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
+	ctx, cancel := context.WithCancel(context.Background())
+	addrCh := make(chan net.Addr, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(ctx, "127.0.0.1:0", m.DebugHandler(), 2*time.Second, func(a net.Addr) { addrCh <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", <-addrCh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +228,95 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	if r.Counters["fcache.hits"] != 3 {
 		t.Fatalf("live report counters = %v", r.Counters)
+	}
+}
+
+// TestServeGracefulShutdown pins the shared listener lifecycle: a request
+// in flight when the context is cancelled runs to completion before Serve
+// returns nil, and the listener refuses new connections afterwards. A
+// request that outlasts the drain bound makes Serve return an error, and
+// an unusable address fails fast.
+func TestServeGracefulShutdown(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		entered <- struct{}{}
+		<-release
+		fmt.Fprint(w, "drained")
+	})
+	start := func(drain time.Duration) (string, context.CancelFunc, chan error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		addrCh := make(chan net.Addr, 1)
+		served := make(chan error, 1)
+		go func() { served <- Serve(ctx, "127.0.0.1:0", h, drain, func(a net.Addr) { addrCh <- a }) }()
+		select {
+		case a := <-addrCh:
+			return "http://" + a.String() + "/", cancel, served
+		case err := <-served:
+			t.Fatalf("Serve exited before ready: %v", err)
+		}
+		return "", cancel, served
+	}
+	type reply struct {
+		body string
+		err  error
+	}
+	get := func(url string) chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			resp, err := http.Get(url)
+			if err != nil {
+				ch <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			ch <- reply{string(b), err}
+		}()
+		return ch
+	}
+
+	url, cancel, served := start(10 * time.Second)
+	replyCh := get(url)
+	<-entered
+	cancel()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v with a request still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release <- struct{}{}
+	if r := <-replyCh; r.err != nil || r.body != "drained" {
+		t.Fatalf("in-flight request = %q, %v; want it drained", r.body, r.err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("graceful shutdown returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after drain")
+	}
+	if _, err := http.Get(url); err == nil {
+		t.Fatal("endpoint still serving after shutdown")
+	}
+
+	url, cancel, served = start(20 * time.Millisecond)
+	replyCh = get(url)
+	<-entered
+	cancel()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("drain overran its bound but Serve returned nil")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the drain bound")
+	}
+	release <- struct{}{}
+	<-replyCh
+
+	if err := Serve(context.Background(), "256.0.0.1:bogus", h, time.Second, nil); err == nil {
+		t.Fatal("bogus address should fail to bind")
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +14,8 @@ import (
 )
 
 // Client talks to a characterization service — the `phasechar submit`
-// side of the front door, and the loopback half of the verify gate.
+// side of the front door, the coordinator's connection to each shard
+// worker, and the loopback half of the verify gate.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:8430".
 	Base string
@@ -197,6 +199,31 @@ func (c *Client) CorpusQuery(q corpus.QueryRequest) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
+}
+
+// maxShardReplyBytes bounds a /shard reply read into memory.
+const maxShardReplyBytes = 1 << 30
+
+// Shard posts one shard request and returns the worker's reply: the
+// shard's fcache entry, still unverified (core.PutShardArtifact decodes
+// and checks it). A refusal surfaces as a StatusError; ctx bounds the
+// whole exchange, reply body included.
+func (c *Client) Shard(ctx context.Context, sr ShardRequest) ([]byte, error) {
+	body, err := json.Marshal(sr)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/shard"), bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(io.LimitReader(resp.Body, maxShardReplyBytes))
 }
 
 // Metrics fetches the service's live /metrics report (raw JSON).

@@ -1,13 +1,14 @@
-package shardnet
+package serve
 
-// Coordinator side of the shard service. Distribute assigns the run's
-// shards across the configured workers (shard i starts on worker i%W,
+// Coordinator side of distributed characterization. Distribute assigns
+// the run's shards across the configured workers (shard i starts on worker i%W,
 // each worker handling one request at a time), retries transient
 // failures with capped exponential backoff plus seeded jitter, and on a
 // worker's final failure reassigns its pending shards to the survivors —
 // or, when no workers remain, abandons them to local computation. Every
-// accepted shard artifact is verified (frame checksum, schema version,
-// dataset fingerprint, interval coverage) before it is stored through
+// reply is a shard's fcache entry, verified by core.PutShardArtifact
+// (checksum, schema version, dataset identity and shard coordinates in
+// one key check, then interval coverage) before it is stored through
 // the ordinary fcache shard kind, so the subsequent merge run reads
 // exactly what a single-process run would have computed. The invariant:
 // for any worker count and any fault schedule, the merged result is
@@ -15,11 +16,9 @@ package shardnet
 // change how long a run takes, never its bytes.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -36,8 +35,6 @@ const (
 	defaultTimeout     = 30 * time.Second
 	defaultBackoffBase = 50 * time.Millisecond
 	defaultBackoffCap  = 2 * time.Second
-	// maxResponseBytes bounds /shard response frames read into memory.
-	maxResponseBytes = 1 << 30
 )
 
 // Coordinator distributes shard computations across HTTP workers.
@@ -80,7 +77,7 @@ type DistributeStats struct {
 	Timeouts int
 	// DeadWorkers is how many workers were declared dead.
 	DeadWorkers int
-	// Bytes is the total response frame bytes read.
+	// Bytes is the total shard entry bytes read.
 	Bytes int64
 }
 
@@ -118,13 +115,6 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	}
 	return d
 }
-
-// permanentError marks a failure no retry can fix (version or dataset
-// divergence); the worker is declared dead without further attempts.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 // dispatcher is the shared scheduling state: per-worker queues, the
 // orphan pool fed by dead workers, and completion accounting.
@@ -216,28 +206,34 @@ func (d *dispatcher) kill(w, shard int) (reassigned, abandoned int) {
 // caller proceeds with core.Run unchanged.
 func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*DistributeStats, error) {
 	if len(c.Workers) == 0 {
-		return nil, fmt.Errorf("shardnet: no workers configured")
+		return nil, fmt.Errorf("serve: no workers configured")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.CacheDir == "" {
-		return nil, fmt.Errorf("shardnet: distributing shards needs a cache directory")
+		return nil, fmt.Errorf("serve: distributing shards needs a cache directory")
 	}
 	n := cfg.Shard.Count
 	if n < 1 {
 		n = 1
 	}
+	if n > reg.Len() {
+		// Workers refuse such requests (400): at most one shard per
+		// benchmark keeps what a caller can make a worker plan bounded.
+		return nil, fmt.Errorf("serve: %d shards of a %d-benchmark registry (at most one shard per benchmark)", n, reg.Len())
+	}
 	hash, err := core.DatasetHash(reg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]string, len(c.Workers))
+	httpClient := &http.Client{Transport: c.Transport}
+	workers := make([]*Client, len(c.Workers))
 	for i, w := range c.Workers {
 		if !strings.Contains(w, "://") {
 			w = "http://" + w
 		}
-		workers[i] = strings.TrimRight(w, "/")
+		workers[i] = &Client{Base: w, HTTP: httpClient}
 	}
 
 	span := c.Metrics.StartSpan("rpc.distribute").SetRows(n).SetWorkers(len(workers))
@@ -257,7 +253,6 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 		d.alive[i] = true
 	}
 
-	client := &http.Client{Transport: c.Transport}
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -271,16 +266,16 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 				if !ok {
 					return
 				}
-				nbytes, err := c.fetchShard(client, workers[w], reg, cfg, shard, n, hash, rng, d)
+				nbytes, err := c.fetchShard(workers[w], reg, cfg, shard, n, hash, rng, d)
 				if err == nil {
 					d.done(nbytes)
 					continue
 				}
-				c.logf("shardnet: worker %d (%s) failed shard %d/%d: %v", w, workers[w], shard, n, err)
+				c.logf("serve: worker %d (%s) failed shard %d/%d: %v", w, workers[w].Base, shard, n, err)
 				reassigned, abandoned := d.kill(w, shard)
 				c.Metrics.Counter("rpc.reassigned").Add(int64(reassigned))
 				if abandoned > 0 {
-					c.logf("shardnet: no workers left, computing %d shard(s) locally", abandoned)
+					c.logf("serve: no workers left, computing %d shard(s) locally", abandoned)
 				}
 				return
 			}
@@ -292,21 +287,17 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 	stats := d.stats
 	d.mu.Unlock()
 	span.SetBytes(stats.Bytes).End()
-	c.logf("shardnet: distributed %d/%d shard(s) across %d worker(s) (%d dead, %d reassigned, %d retries)",
+	c.logf("serve: distributed %d/%d shard(s) across %d worker(s) (%d dead, %d reassigned, %d retries)",
 		stats.Remote, stats.Shards, len(workers), stats.DeadWorkers, stats.Reassigned, stats.Retries)
 	return &stats, nil
 }
 
 // fetchShard runs the full attempt loop for one shard against one
 // worker: request, verify, store. A nil error means the artifact is in
-// the cache (the int64 is the accepted frame's size); any error means
+// the cache (the int64 is the accepted entry's size); any error means
 // the worker is spent for this run.
-func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *bench.Registry, cfg core.Config, shard, count int, hash uint64, rng *trace.RNG, d *dispatcher) (int64, error) {
-	req := NewShardRequest(cfg, shard, count, hash)
-	frame, err := req.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
+func (c *Coordinator) fetchShard(worker *Client, reg *bench.Registry, cfg core.Config, shard, count int, hash uint64, rng *trace.RNG, d *dispatcher) (int64, error) {
+	req := newShardRequest(cfg, shard, count, hash)
 	shardCfg := cfg
 	shardCfg.Shard = core.ShardSpec{Index: shard, Count: count}
 
@@ -322,7 +313,7 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 			wait = wait/2 + time.Duration(rng.Uint64n(uint64(wait)))
 			time.Sleep(wait)
 		}
-		nbytes, err := c.tryShard(client, workerURL, frame, reg, shardCfg, &req)
+		nbytes, err := c.tryShard(worker, req, reg, shardCfg)
 		if err == nil {
 			return nbytes, nil
 		}
@@ -331,8 +322,12 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 			c.Metrics.Counter("rpc.timeouts").Add(1)
 			d.addStat(func(s *DistributeStats) { s.Timeouts++ })
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
+		// Only the worker's own 409 (version or dataset divergence) is
+		// permanent. An entry that fails verification is transient: the
+		// bytes may have been damaged in flight, a flipped version bit
+		// included, and the next attempt can succeed.
+		var se *StatusError
+		if errors.As(err, &se) && se.Code == http.StatusConflict {
 			return 0, err
 		}
 	}
@@ -340,45 +335,17 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 }
 
 // tryShard performs one request/verify/store attempt.
-func (c *Coordinator) tryShard(client *http.Client, workerURL string, frame []byte, reg *bench.Registry, shardCfg core.Config, want *ShardRequest) (int64, error) {
+func (c *Coordinator) tryShard(worker *Client, req ShardRequest, reg *bench.Registry, shardCfg core.Config) (int64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/shard", bytes.NewReader(frame))
-	if err != nil {
-		return 0, err
-	}
-	httpReq.Header.Set("Content-Type", "application/octet-stream")
 	c.Metrics.Counter("rpc.sent").Add(1)
-	resp, err := client.Do(httpReq)
+	entry, err := worker.Shard(ctx, req)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &permanentError{fmt.Errorf("worker refused shard: %s", strings.TrimSpace(string(msg)))}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("worker returned %s", resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return 0, err
-	}
-	nbytes := int64(len(body))
+	nbytes := int64(len(entry))
 	c.Metrics.Counter("rpc.bytes").Add(nbytes)
-	var sr ShardResponse
-	if err := sr.UnmarshalBinary(body); err != nil {
-		return nbytes, err
-	}
-	if sr.ArtifactVersion != want.ArtifactVersion || sr.DatasetHash != want.DatasetHash {
-		return nbytes, &permanentError{fmt.Errorf(
-			"response for artifact %#x dataset %#x, want %#x/%#x", sr.ArtifactVersion, sr.DatasetHash, want.ArtifactVersion, want.DatasetHash)}
-	}
-	if sr.Index != want.Index || sr.Count != want.Count {
-		return nbytes, fmt.Errorf("response for shard %d/%d, want %d/%d", sr.Index, sr.Count, want.Index, want.Count)
-	}
-	if _, err := core.PutShardArtifact(reg, shardCfg, sr.Payload); err != nil {
+	if _, err := core.PutShardArtifact(reg, shardCfg, entry); err != nil {
 		return nbytes, err
 	}
 	return nbytes, nil

@@ -1,4 +1,4 @@
-package shardnet
+package serve
 
 import (
 	"bytes"
@@ -19,24 +19,26 @@ import (
 )
 
 // testWorkers is the compute parallelism for both local and worker-side
-// runs; SHARDNET_TEST_WORKERS overrides it so verify.sh can pin the
-// distributed invariant at multiple worker counts.
+// runs (the coordinator sends its own in every shard request);
+// SHARD_TEST_WORKERS overrides it so verify.sh can pin the distributed
+// invariant at multiple worker counts.
 func testWorkers(t *testing.T) int {
 	t.Helper()
-	v := os.Getenv("SHARDNET_TEST_WORKERS")
+	v := os.Getenv("SHARD_TEST_WORKERS")
 	if v == "" {
 		return 0
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		t.Fatalf("SHARDNET_TEST_WORKERS=%q", v)
+		t.Fatalf("SHARD_TEST_WORKERS=%q", v)
 	}
 	return n
 }
 
-// testRegistry builds a small registry with two clearly distinct suites
-// (the same shape core's unit tests use).
-func testRegistry(t *testing.T) *bench.Registry {
+// shardRegistry builds a small registry with two clearly distinct
+// suites (the same shape core's unit tests use), with as many
+// benchmarks as the largest shard count the tests distribute.
+func shardRegistry(t *testing.T) *bench.Registry {
 	t.Helper()
 	mk := func(name string, suite bench.Suite, intervals int, phases ...bench.Phase) *bench.Benchmark {
 		return &bench.Benchmark{Name: name, Suite: suite, PaperIntervals: intervals, Phases: phases}
@@ -67,6 +69,8 @@ func testRegistry(t *testing.T) *bench.Registry {
 			bench.Phase{Weight: 0.5, Behavior: stream("s2/b")}),
 		mk("f1", "SuiteB", 100, bench.Phase{Weight: 1, Behavior: stream("f1/p")}),
 		mk("f2", "SuiteB", 300, bench.Phase{Weight: 1, Behavior: stream("f2/p")}),
+		mk("s3", "SuiteA", 150, bench.Phase{Weight: 1, Behavior: serial("s3/p")}),
+		mk("f3", "SuiteB", 150, bench.Phase{Weight: 1, Behavior: stream("f3/p")}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +78,7 @@ func testRegistry(t *testing.T) *bench.Registry {
 	return reg
 }
 
-func testConfig(t *testing.T) core.Config {
+func shardConfig(t *testing.T) core.Config {
 	cfg := core.TestConfig()
 	cfg.IntervalLength = 1500
 	cfg.SamplesPerBenchmark = 10
@@ -100,14 +104,26 @@ func plainExport(t *testing.T, reg *bench.Registry, cfg core.Config) []byte {
 	return buf.Bytes()
 }
 
-// startWorkers starts n shard servers over reg and returns their base
-// URLs and hosts (for fault scripts), cleaned up with the test.
-func startWorkers(t *testing.T, reg *bench.Registry, n, compute int) (urls, hosts []string) {
+// startWorker starts one service over reg, each with its own cache, as
+// a shard worker; it is cleaned up with the test.
+func startWorker(t *testing.T, reg *bench.Registry) *httptest.Server {
+	t.Helper()
+	s, err := New(Config{CacheDir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// startWorkers starts n shard workers over reg and returns their base
+// URLs and hosts (for fault scripts).
+func startWorkers(t *testing.T, reg *bench.Registry, n int) (urls, hosts []string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		srv := &Server{Reg: reg, Workers: compute}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
+		ts := startWorker(t, reg)
 		urls = append(urls, ts.URL)
 		hosts = append(hosts, strings.TrimPrefix(ts.URL, "http://"))
 	}
@@ -138,12 +154,12 @@ func distributedExport(t *testing.T, reg *bench.Registry, cfg core.Config, shard
 // TestFaultMatrixByteIdentical is the distributed layer's load-bearing
 // invariant: for every fault schedule that leaves >= 0 workers alive —
 // transient 5xx, dropped connections, injected latency, corrupted
-// frames, hangs until deadline, and 0..W dead workers — the merged
+// entries, hangs until deadline, and 0..W dead workers — the merged
 // result is byte-identical to the single-process run, and the retry /
 // reassignment counters match exactly what the schedule implies.
 func TestFaultMatrixByteIdentical(t *testing.T) {
-	reg := testRegistry(t)
-	cfg := testConfig(t)
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
 	want := plainExport(t, reg, cfg)
 	const shards, nWorkers = 6, 3
 
@@ -170,7 +186,7 @@ func TestFaultMatrixByteIdentical(t *testing.T) {
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			urls, hosts := startWorkers(t, reg, nWorkers, cfg.Workers)
+			urls, hosts := startWorkers(t, reg, nWorkers)
 			faults := NewFaults(nil, 7)
 			for w, script := range cell.faults {
 				faults.Script(hosts[w], script...)
@@ -243,14 +259,12 @@ func (k *killingTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // shard; its remaining shard must be reassigned and the result must
 // still match the plain run byte for byte.
 func TestWorkerDeathMidRun(t *testing.T) {
-	reg := testRegistry(t)
-	cfg := testConfig(t)
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
 	want := plainExport(t, reg, cfg)
 
-	srv := &Server{Reg: reg, Workers: cfg.Workers}
-	dying := httptest.NewServer(srv.Handler())
-	t.Cleanup(dying.Close)
-	urls, _ := startWorkers(t, reg, 2, cfg.Workers)
+	dying := startWorker(t, reg)
+	urls, _ := startWorkers(t, reg, 2)
 	urls = append([]string{dying.URL}, urls...)
 
 	m := obs.New()
@@ -276,17 +290,15 @@ func TestWorkerDeathMidRun(t *testing.T) {
 // permanently (no retries), and the run must gracefully degrade to
 // local computation with an unchanged result.
 func TestDatasetMismatchFallsBackLocal(t *testing.T) {
-	reg := testRegistry(t)
-	cfg := testConfig(t)
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
 	want := plainExport(t, reg, cfg)
 
-	other, err := bench.NewRegistry((testRegistry(t)).All()[:2])
+	other, err := bench.NewRegistry((shardRegistry(t)).All()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Reg: other, Workers: cfg.Workers}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts := startWorker(t, other)
 
 	m := obs.New()
 	coord := &Coordinator{Workers: []string{ts.URL}, Retries: 2, Metrics: m}
@@ -302,17 +314,35 @@ func TestDatasetMismatchFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestDistributeRefusesMoreShardsThanBenchmarks: workers refuse a
+// shard count above the roster's benchmark count, so the coordinator
+// rejects such a run before sending anything.
+func TestDistributeRefusesMoreShardsThanBenchmarks(t *testing.T) {
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
+	cfg.CacheDir = t.TempDir()
+	cfg.Shard = core.ShardSpec{Index: 0, Count: reg.Len() + 1}
+	m := obs.New()
+	coord := &Coordinator{Workers: []string{"127.0.0.1:1"}, Metrics: m}
+	if _, err := coord.Distribute(reg, cfg); err == nil {
+		t.Fatal("Distribute accepted more shards than benchmarks")
+	}
+	if sent := m.Counter("rpc.sent").Value(); sent != 0 {
+		t.Fatalf("rpc.sent = %d, want 0", sent)
+	}
+}
+
 // TestJitterSeedDoesNotChangeBytes pins that retry pacing — different
 // jitter seeds and backoff shapes under the same fault schedule — never
 // leaks into the merged output.
 func TestJitterSeedDoesNotChangeBytes(t *testing.T) {
-	reg := testRegistry(t)
-	cfg := testConfig(t)
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
 	want := plainExport(t, reg, cfg)
 
 	var exports [][]byte
 	for i, seed := range []int64{1, 999} {
-		urls, hosts := startWorkers(t, reg, 3, cfg.Workers)
+		urls, hosts := startWorkers(t, reg, 3)
 		faults := NewFaults(nil, 7)
 		faults.Script(hosts[0], Fault5xx)
 		faults.Script(hosts[1], FaultDrop)
@@ -331,130 +361,6 @@ func TestJitterSeedDoesNotChangeBytes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("export %d differs from plain run", i)
 		}
-	}
-}
-
-// TestServeHealthz pins the liveness endpoint.
-func TestServeHealthz(t *testing.T) {
-	srv := &Server{Reg: testRegistry(t)}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
-		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
-	}
-}
-
-// TestServerRefusals pins the refusal statuses: undecodable frames are
-// 400, version skew is 409, and GET is 405.
-func TestServerRefusals(t *testing.T) {
-	reg := testRegistry(t)
-	cfg := testConfig(t)
-	srv := &Server{Reg: reg, Workers: cfg.Workers}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	post := func(body []byte) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/shard", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	if resp := post([]byte("garbage")); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage frame: %d, want 400", resp.StatusCode)
-	}
-	hash, err := core.DatasetHash(reg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := NewShardRequest(cfg, 0, 2, hash)
-	req.ArtifactVersion++
-	frame, err := req.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := post(frame); resp.StatusCode != http.StatusConflict {
-		t.Errorf("version skew: %d, want 409", resp.StatusCode)
-	}
-	req = NewShardRequest(cfg, 0, 2, hash^1)
-	frame, err = req.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := post(frame); resp.StatusCode != http.StatusConflict {
-		t.Errorf("dataset skew: %d, want 409", resp.StatusCode)
-	}
-	resp, err := http.Get(ts.URL + "/shard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /shard: %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestWireRoundTrip pins both frame codecs and their tamper detection.
-func TestWireRoundTrip(t *testing.T) {
-	req := ShardRequest{
-		ArtifactVersion: core.ShardArtifactVersion(),
-		Index:           2, Count: 5,
-		IntervalLength: 1500, SamplesPerBenchmark: 10, MaxIntervalsPerBenchmark: 12,
-		SampleByBenchmark: true, Seed: -3, DatasetHash: 0xdeadbeefcafef00d,
-	}
-	frame, err := req.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got ShardRequest
-	if err := got.UnmarshalBinary(frame); err != nil {
-		t.Fatal(err)
-	}
-	if got != req {
-		t.Fatalf("request round trip: %+v != %+v", got, req)
-	}
-	for i := range frame {
-		bad := append([]byte(nil), frame...)
-		bad[i] ^= 1
-		if err := new(ShardRequest).UnmarshalBinary(bad); err == nil {
-			t.Fatalf("bit flip at %d accepted", i)
-		}
-	}
-
-	resp := ShardResponse{
-		ArtifactVersion: 7, Index: 1, Count: 4,
-		DatasetHash: 99, Payload: []byte("shard bytes"),
-	}
-	rframe, err := resp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rgot ShardResponse
-	if err := rgot.UnmarshalBinary(rframe); err != nil {
-		t.Fatal(err)
-	}
-	if rgot.ArtifactVersion != resp.ArtifactVersion || rgot.Index != resp.Index ||
-		rgot.Count != resp.Count || rgot.DatasetHash != resp.DatasetHash ||
-		!bytes.Equal(rgot.Payload, resp.Payload) {
-		t.Fatalf("response round trip: %+v != %+v", rgot, resp)
-	}
-	for i := range rframe {
-		bad := append([]byte(nil), rframe...)
-		bad[i] ^= 1
-		if err := new(ShardResponse).UnmarshalBinary(bad); err == nil {
-			t.Fatalf("bit flip at %d accepted", i)
-		}
-	}
-	if err := new(ShardResponse).UnmarshalBinary(rframe[:len(rframe)-3]); err == nil {
-		t.Fatal("truncated response accepted")
 	}
 }
 

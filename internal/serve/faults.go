@@ -1,4 +1,4 @@
-package shardnet
+package serve
 
 // Deterministic fault injection for the shard transport. Faults wraps an
 // http.RoundTripper and perturbs requests per scripted schedule: each
@@ -69,7 +69,7 @@ func parseFaultKind(s string) (FaultKind, error) {
 			return k, nil
 		}
 	}
-	return FaultNone, fmt.Errorf("shardnet: unknown fault kind %q", s)
+	return FaultNone, fmt.Errorf("serve: unknown fault kind %q", s)
 }
 
 // Faults is a fault-injecting http.RoundTripper. The zero value is not
@@ -121,11 +121,11 @@ func (f *Faults) AddSpec(spec string, hosts []string) error {
 		}
 		idx, list, ok := strings.Cut(entry, ":")
 		if !ok {
-			return fmt.Errorf("shardnet: fault entry %q is not workerIndex:kinds", entry)
+			return fmt.Errorf("serve: fault entry %q is not workerIndex:kinds", entry)
 		}
 		w, err := strconv.Atoi(strings.TrimSpace(idx))
 		if err != nil || w < 0 || w >= len(hosts) {
-			return fmt.Errorf("shardnet: fault entry %q: worker index out of range [0,%d)", entry, len(hosts))
+			return fmt.Errorf("serve: fault entry %q: worker index out of range [0,%d)", entry, len(hosts))
 		}
 		var kinds []FaultKind
 		for _, tok := range strings.Split(list, ",") {
@@ -179,7 +179,7 @@ func (f *Faults) RoundTrip(req *http.Request) (*http.Response, error) {
 	case FaultNone:
 		return f.next.RoundTrip(req)
 	case FaultDrop, FaultDown:
-		return nil, fmt.Errorf("shardnet: injected connection failure to %s", req.URL.Host)
+		return nil, fmt.Errorf("serve: injected connection failure to %s", req.URL.Host)
 	case FaultDelay:
 		select {
 		case <-time.After(f.delay(req.URL.Host)):
@@ -206,7 +206,7 @@ func (f *Faults) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		if len(body) > 0 {
-			// Flip a bit in the middle of the frame so the corruption lands
+			// Flip a bit in the middle of the entry so the corruption lands
 			// in the payload, not just a header field.
 			body[len(body)/2] ^= 0x40
 		}
@@ -217,6 +217,6 @@ func (f *Faults) RoundTrip(req *http.Request) (*http.Response, error) {
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	default:
-		return nil, fmt.Errorf("shardnet: unhandled fault %v", k)
+		return nil, fmt.Errorf("serve: unhandled fault %v", k)
 	}
 }

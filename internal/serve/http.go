@@ -27,6 +27,7 @@ func (s *Server) Handler() http.Handler {
 	// record job durations into an endpoint-latency histogram.
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /corpus/query", s.timed("serve.http.corpus_query", s.handleCorpusQuery))
+	mux.HandleFunc("POST /shard", s.handleShard)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")

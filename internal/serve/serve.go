@@ -20,6 +20,9 @@
 //	POST /jobs/{id}/cancel   cancel a still-queued job
 //	POST /corpus/query       phase-corpus similarity/uniqueness queries
 //	                         (404 unless the service has a corpus dir)
+//	POST /shard              compute one shard of a coordinator's dataset
+//	                         and reply with its fcache entry (see
+//	                         shard.go; 409 on version or dataset skew)
 //	GET  /healthz            liveness
 //	GET  /metrics            the live obs run report (queue depth,
 //	                         admission rejects, cache traffic,
@@ -32,7 +35,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -40,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fcache"
@@ -72,6 +75,10 @@ type Config struct {
 	// CorpusDir, when set, opens the phase corpus at that directory and
 	// serves POST /corpus/query from it. Empty: the endpoint is 404.
 	CorpusDir string
+	// Registry is the roster POST /shard characterizes; a coordinator's
+	// dataset fingerprint must match it. Nil: bench.StandardRegistry().
+	// Jobs build their own roster from their spec.
+	Registry *bench.Registry
 	// IngestJobs, with CorpusDir set, ingests every completed job's
 	// result into the corpus (idempotently — a job equivalent to one
 	// already ingested adds nothing), so tenants' submitted workloads
@@ -128,8 +135,10 @@ const (
 )
 
 // drainTimeout bounds the HTTP drain after Serve's context is
-// cancelled. Result downloads and event streams are fast; jobs running
-// in workers are not part of the HTTP drain.
+// cancelled. Result downloads and event streams are fast, and a shard
+// computation is minutes at the absolute worst: a worker asked to stop
+// finishes the entry it is sending. Jobs running in the pool are not
+// part of the HTTP drain.
 const drainTimeout = 30 * time.Second
 
 // New builds the service and starts its worker pool. Callers must Close
@@ -146,6 +155,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.IngestJobs && cfg.CorpusDir == "" {
 		return nil, fmt.Errorf("serve: IngestJobs needs a corpus directory")
+	}
+	if cfg.Registry == nil {
+		reg, err := bench.StandardRegistry()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Registry = reg
 	}
 	if cfg.HotBytes > 0 {
 		fcache.EnableHotTier(cfg.CacheDir, cfg.HotBytes)
@@ -373,37 +389,15 @@ func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
 
 // Serve binds addr, reports the bound address through ready (may be
 // nil), and serves the front door until ctx is cancelled or the
-// listener fails. Cancellation shuts down gracefully — in-flight
-// requests drain (bounded by drainTimeout), the worker pool finishes
-// the jobs it is running — and returns nil; a listener failure returns
-// its error so the caller can exit nonzero.
+// listener fails (obs.Serve). Cancellation shuts down gracefully —
+// in-flight requests drain (bounded by drainTimeout), then the worker
+// pool finishes the jobs it is running — and returns nil; a listener
+// failure returns its error so the caller can exit nonzero.
 func (s *Server) Serve(ctx context.Context, addr string, ready func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	defer s.Close()
+	err := obs.Serve(ctx, addr, s.Handler(), drainTimeout, ready)
+	if ctx.Err() != nil {
+		s.logf("serve: requests drained, finishing running jobs")
 	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		s.logf("serve: shutting down, draining requests and running jobs")
-		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		err := srv.Shutdown(dctx)
-		if serr := <-done; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-			err = serr
-		}
-		s.Close()
-		return err
-	case err := <-done:
-		s.Close()
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return err
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -321,9 +322,8 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestServeGracefulShutdown: cancelling the service context returns nil
-// (clean exit) and leaves no request hanging; a dead listener address
-// errors instead.
+// TestServeGracefulShutdown: cancelling an idle service's context shuts
+// the listener down cleanly — Serve returns nil, not a listener error.
 func TestServeGracefulShutdown(t *testing.T) {
 	s, err := New(Config{CacheDir: t.TempDir(),
 		execute: func(JobSpec) ([]byte, error) { return []byte("{}"), nil }})
@@ -350,13 +350,105 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after cancel")
 	}
+}
 
-	s2, err := New(Config{CacheDir: t.TempDir()})
+// TestServeGracefulDrain pins the one listener lifecycle every endpoint
+// shares (obs.Serve, through Server.Serve): cancelling the context while
+// a /shard request is in flight drains the request — the caller still
+// receives a complete entry that core.PutShardArtifact accepts — Serve
+// returns nil, and the listener is closed afterwards.
+func TestServeGracefulDrain(t *testing.T) {
+	reg := shardRegistry(t)
+	cfg := shardConfig(t)
+	cfg.Shard = core.ShardSpec{Index: 0, Count: 2}
+	hash, err := core.DatasetHash(reg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if err := s2.Serve(context.Background(), "256.0.0.1:bogus", nil); err == nil {
+	m := obs.New()
+	s, err := New(Config{CacheDir: t.TempDir(), Registry: reg, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrCh := make(chan net.Addr, 1)
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- s.Serve(ctx, "127.0.0.1:0", func(a net.Addr) { addrCh <- a })
+	}()
+	var c *Client
+	select {
+	case a := <-addrCh:
+		c = &Client{Base: "http://" + a.String()}
+	case err := <-serveErr:
+		t.Fatalf("Serve exited before ready: %v", err)
+	}
+
+	type reply struct {
+		entry []byte
+		err   error
+	}
+	replyCh := make(chan reply, 1)
+	req := newShardRequest(cfg, 0, 2, hash)
+	go func() {
+		entry, err := c.Shard(context.Background(), req)
+		replyCh <- reply{entry, err}
+	}()
+	// Cancel the moment the request is being served, so the shutdown
+	// races the computation. A fast shard can finish between polls of the
+	// gauge; if the reply has already landed the race did not happen this
+	// run, and the shutdown must still be clean.
+	inflight := m.Counter("rpc.inflight")
+	deadline := time.Now().Add(10 * time.Second)
+observe:
+	for inflight.Value() == 0 {
+		select {
+		case r := <-replyCh:
+			replyCh <- r
+			break observe
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request never became in-flight")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	cancel()
+
+	r := <-replyCh
+	if r.err != nil {
+		t.Fatalf("draining service dropped the request: %v", r.err)
+	}
+	putCfg := cfg
+	putCfg.CacheDir = t.TempDir()
+	if _, err := core.PutShardArtifact(reg, putCfg, r.entry); err != nil {
+		t.Fatalf("draining service returned an undecodable entry: %v", err)
+	}
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("graceful shutdown returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after drain")
+	}
+	if got := inflight.Value(); got != 0 {
+		t.Fatalf("rpc.inflight = %d after drain, want 0", got)
+	}
+	if _, err := c.Shard(context.Background(), req); err == nil {
+		t.Fatal("post-shutdown request was accepted")
+	}
+}
+
+// TestServeListenerError: an unusable address fails fast with an error,
+// not a hang.
+func TestServeListenerError(t *testing.T) {
+	s, err := New(Config{CacheDir: t.TempDir(), Registry: shardRegistry(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(context.Background(), "256.0.0.1:bogus", nil); err == nil {
 		t.Fatal("bogus address should fail to bind")
 	}
 }

@@ -62,11 +62,13 @@ go test -race -count=10 \
   -run '^(TestParkedScanDoesNotBlock|TestConcurrentProbedQueries|TestHandlesShareOneDirectory)$' ./internal/corpus/
 go test -race -count=10 -run '^TestSoakBoundedRetention$' ./internal/serve/
 
-echo "== shardnet -race at pinned worker counts"
+echo "== distributed shard tests -race at pinned worker counts"
 # The distributed invariant must hold at any compute parallelism; pin it
-# at serial and at 4 workers explicitly.
-SHARDNET_TEST_WORKERS=1 go test -race -count=1 ./internal/shardnet/
-SHARDNET_TEST_WORKERS=4 go test -race -count=1 ./internal/shardnet/
+# at serial and at 4 workers explicitly. SHARD_TEST_WORKERS sets both the
+# coordinator's parallelism and the one it sends in every /shard request.
+SHARD_TESTS='^Test(FaultMatrix|WorkerDeath|DatasetMismatch|Distribute|JitterSeed|FaultSpec|Shard|ServeHealthz|ServeGraceful|ServeListenerError)'
+SHARD_TEST_WORKERS=1 go test -race -count=1 -run "$SHARD_TESTS" ./internal/serve/
+SHARD_TEST_WORKERS=4 go test -race -count=1 -run "$SHARD_TESTS" ./internal/serve/
 
 echo "== fuzz decoders (${FUZZ_BUDGET:-2s} each)"
 # Every decoder that reads bytes from disk or the network: errors, never
@@ -80,8 +82,7 @@ FuzzDecodeResult ./internal/cluster/
 FuzzShardArtifact ./internal/core/
 FuzzSummaryArtifact ./internal/core/
 FuzzTimelineArtifact ./internal/core/
-FuzzShardRequest ./internal/shardnet/
-FuzzShardResponse ./internal/shardnet/
+FuzzEntry ./internal/fcache/
 FuzzDecodeModels ./internal/bench/
 FuzzCorpusSegment ./internal/corpus/
 FuzzCorpusManifest ./internal/corpus/
@@ -161,12 +162,13 @@ EOF
 
 echo "== distributed loopback gate (3 workers, injected faults, mid-run kill)"
 # The same invariant across real process and network boundaries: three
-# loopback shard servers, a fault schedule (a 503 then a corrupted frame
-# on worker 0, injected latency on worker 2), and worker 1 killed while
-# the run is in flight. The coordinator must retry, reassign and degrade
-# as needed — and the export must still be byte-identical.
+# loopback characterization services as shard workers (POST /shard), a
+# fault schedule (a 503 then a corrupted entry on worker 0, injected
+# latency on worker 2), and worker 1 killed while the run is in flight.
+# The coordinator must retry, reassign and degrade as needed — and the
+# export must still be byte-identical.
 for i in 0 1 2; do
-  "$tmp/phasechar" -quiet -addr 127.0.0.1:0 serve > "$tmp/worker$i.out" 2>&1 &
+  "$tmp/phasechar" -quiet -cache "$tmp/wcache$i" -addr 127.0.0.1:0 service > "$tmp/worker$i.out" 2>&1 &
   WORKER_PIDS="$WORKER_PIDS $!"
 done
 addrs=""
@@ -174,7 +176,7 @@ for i in 0 1 2; do
   addr=""
   tries=0
   while [ -z "$addr" ]; do
-    addr="$(sed -n 's|^phasechar: listening at http://||p' "$tmp/worker$i.out")"
+    addr="$(sed -n 's|^phasechar: characterization service at http://||p' "$tmp/worker$i.out")"
     tries=$((tries + 1))
     if [ "$tries" -gt 100 ]; then
       echo "worker $i never reported its address" >&2
