@@ -329,6 +329,9 @@ func run() (err error) {
 		if *serverURL == "" {
 			return fmt.Errorf("the submit target needs -server http://host:port (a running 'service')")
 		}
+		if *seed == 0 {
+			return fmt.Errorf("the submit target cannot send -seed 0: a job spec reads seed 0 as the default seed 1; use the 'export' target to run seed 0 locally")
+		}
 		spec := serve.JobSpec{
 			Suites:    *suites,
 			Seed:      *seed,

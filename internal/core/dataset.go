@@ -119,15 +119,11 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 		slot[i] = s
 	}
 
-	var cache *fcache.Cache
-	if cfg.CacheDir != "" {
-		var err error
-		if cache, err = fcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(cfg.Metrics)
+	cache, err := openCache(cfg)
+	if err != nil {
+		return nil, err
 	}
-	vectors, instructions, cacheHits, err := characterizeUnique(work, cfg, cache)
+	vectors, instructions, cacheHits, err := characterizeUnique("characterize", work, cfg, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -146,12 +142,13 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 }
 
 // characterizeUnique is the characterization kernel shared by the
-// whole-dataset path (Characterize) and the engine's shard path: it
-// generates and measures the given already-deduplicated intervals and
+// whole-dataset path (Characterize), the engine's shard path and
+// AnalyzeTimeline: it generates and measures the given
+// already-deduplicated intervals under a span of the given name and
 // returns their vectors (one row per interval), the instruction total,
 // and the vector-cache hit count.
-func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) (*stats.Matrix, uint64, int, error) {
-	span := cfg.Metrics.StartSpan("characterize").SetRows(len(work)).SetWorkers(par.Workers(cfg.Workers))
+func characterizeUnique(spanName string, work []IntervalRef, cfg Config, cache *fcache.Cache) (*stats.Matrix, uint64, int, error) {
+	span := cfg.Metrics.StartSpan(spanName).SetRows(len(work)).SetWorkers(par.Workers(cfg.Workers))
 	defer span.End()
 
 	// Fan the unique intervals out over the par worker pool. Analyzers

@@ -15,6 +15,13 @@ package core
 //     characterize stage is assembled from per-shard dataset artifacts
 //     computed independently (CharacterizeShard / `phasechar -shard`).
 //
+// Every persisted artifact — the analysis stages, the dataset shards and
+// AnalyzeTimeline's whole-benchmark analysis — goes through one
+// load-or-compute path (loadOrCompute). Where an artifact may be read
+// back (resume, merge), the lookup runs under the cache's singleflight
+// (fcache.GetOrCompute), so concurrent identical runs sharing a cache
+// compute each stage once and the rest load the winner's artifact.
+//
 // The load-bearing invariant: loading an artifact is bit-for-bit
 // equivalent to recomputing it, so any mix of computed, resumed and
 // merged stages yields a byte-identical Result at any worker count.
@@ -48,47 +55,84 @@ type engine struct {
 // newEngine opens the cache (when configured) and precomputes the
 // artifact key chain. refs must be the run's sampled dataset.
 func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(string, ...any)) (*engine, error) {
-	e := &engine{reg: reg, cfg: cfg, logf: logf}
-	if cfg.CacheDir != "" {
-		cache, err := fcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(cfg.Metrics)
-		e.cache = cache
+	cache, err := openCache(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{reg: reg, cfg: cfg, cache: cache, logf: logf}
+	if cache != nil {
 		e.keys = newArtifactKeys(reg, cfg, len(refs))
 	}
 	return e, nil
 }
 
-// Key accessors tolerate cache-less runs: without a cache there is no
-// key chain (e.keys is nil) and the zero Key is never used, because
-// stage() only touches keys when e.cache is non-nil.
-
-func (e *engine) pcaKey() fcache.Key {
-	if e.keys == nil {
-		return fcache.Key{}
+// openCache opens cfg's cache directory with cfg's collector installed,
+// or returns nil when no cache is configured.
+func openCache(cfg Config) (*fcache.Cache, error) {
+	if cfg.CacheDir == "" {
+		return nil, nil
 	}
-	return e.keys.pcaKey()
+	cache, err := fcache.Open(cfg.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	cache.SetMetrics(cfg.Metrics)
+	return cache, nil
 }
 
-func (e *engine) scoresKey() fcache.Key {
-	if e.keys == nil {
-		return fcache.Key{}
+// loadOrCompute is the one path by which an artifact is loaded from the
+// cache or computed and persisted; compute must fill art. Without a
+// cache it only computes. With lookup off it computes and then persists
+// art best-effort (a failed write only costs a later recompute). With
+// lookup on it goes through the cache's singleflight, so concurrent
+// callers needing the same key compute it once and the rest decode the
+// winner's entry; an entry that passes the cache checksum but not art's
+// decoder (an artifact schema skew) is discarded and recomputed. Reports
+// whether art was loaded rather than computed by this call.
+func loadOrCompute(cache *fcache.Cache, key fcache.Key, art stageArtifact, lookup bool, compute func() error) (loaded bool, err error) {
+	if cache == nil {
+		return false, compute()
 	}
-	return e.keys.scoresKey(e.cfg)
+	if lookup {
+		computed := false
+		payload, _, err := cache.GetOrCompute(key, func() ([]byte, error) {
+			if err := compute(); err != nil {
+				return nil, err
+			}
+			computed = true
+			return art.MarshalBinary()
+		})
+		switch {
+		case computed:
+			// An encode or persist failure never fails the run.
+			return false, nil
+		case err != nil:
+			return false, err
+		case art.UnmarshalBinary(payload) == nil:
+			return true, nil
+		}
+		cache.Discard(key)
+	}
+	if err := compute(); err != nil {
+		return false, err
+	}
+	_ = cache.PutBinary(key, art)
+	return false, nil
 }
 
-func (e *engine) clusterKey() fcache.Key {
-	if e.keys == nil {
+// stageKey names the artifact of the analysis stage of the given kind.
+// Without a cache there is no key chain, and loadOrCompute never reads
+// the zero Key returned.
+func (e *engine) stageKey(kind uint16) fcache.Key {
+	switch {
+	case e.keys == nil:
 		return fcache.Key{}
-	}
-	return e.keys.clusterKey(e.cfg)
-}
-
-func (e *engine) summaryKey() fcache.Key {
-	if e.keys == nil {
-		return fcache.Key{}
+	case kind == fcache.KindPCA:
+		return e.keys.pcaKey()
+	case kind == fcache.KindScores:
+		return e.keys.scoresKey(e.cfg)
+	case kind == fcache.KindCluster:
+		return e.keys.clusterKey(e.cfg)
 	}
 	return e.keys.summaryKey(e.cfg)
 }
@@ -100,27 +144,21 @@ func (e *engine) markStage(name, mode string) {
 	e.cfg.Metrics.Add("engine."+mode+"."+name, 1)
 }
 
-// stage runs one persisted pipeline stage. With resume enabled it first
-// tries to load the stage's artifact (a hit fills art and records a
-// zero-cost resumed span); otherwise compute must fill art, and the
-// result is persisted when a cache is configured. Returns whether the
-// stage was resumed.
+// stage runs one persisted pipeline stage through loadOrCompute, looking
+// its artifact up only under resume. A loaded artifact (a resume hit, or
+// another run's concurrent compute of the same stage) records a
+// zero-cost resumed span; otherwise compute filled art. Returns whether
+// the stage was resumed.
 func (e *engine) stage(name string, key fcache.Key, art stageArtifact, rows int, compute func() error) (bool, error) {
-	if e.cache != nil && e.cfg.Resume {
-		if e.cache.GetBinary(key, art) {
-			e.cfg.Metrics.StartSpan(name).SetRows(rows).SetResumed(true).End()
-			e.markStage(name, "resumed")
-			e.logf("%s: resumed from stage artifact", name)
-			return true, nil
-		}
-	}
-	if err := compute(); err != nil {
+	loaded, err := loadOrCompute(e.cache, key, art, e.cfg.Resume, compute)
+	if err != nil {
 		return false, err
 	}
-	if e.cache != nil {
-		// Best-effort: a failed artifact write only costs recomputation on
-		// the next resume attempt.
-		_ = e.cache.PutBinary(key, art)
+	if loaded {
+		e.cfg.Metrics.StartSpan(name).SetRows(rows).SetResumed(true).End()
+		e.markStage(name, "resumed")
+		e.logf("%s: resumed from stage artifact", name)
+		return true, nil
 	}
 	e.markStage(name, "computed")
 	return false, nil
@@ -177,7 +215,7 @@ func (e *engine) computeShard(p shardPlan) (*shardArtifact, int, error) {
 			work = append(work, r)
 		}
 	}
-	vectors, instructions, hits, err := characterizeUnique(work, e.cfg, e.cache)
+	vectors, instructions, hits, err := characterizeUnique("characterize", work, e.cfg, e.cache)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -205,57 +243,27 @@ func (e *engine) computeShard(p shardPlan) (*shardArtifact, int, error) {
 // (merge runs always look, single-shard runs only under resume) and
 // characterizes it otherwise. Returns the artifact, whether it was
 // loaded, and the characterize-stage vector-cache hits.
-//
-// On the artifact-eligible path the compute runs under the cache's
-// singleflight (see fcache.GetOrCompute): concurrent service jobs — or
-// worker processes sharing the cache directory — needing the same shard
-// elect one computer, and the rest read its entry instead of burning a
-// duplicate characterization. The plain cold path (single shard, no
-// resume) is unchanged: it never consulted the cache before computing
-// and still does not.
 func (e *engine) loadOrComputeShard(p shardPlan) (*shardArtifact, bool, int, error) {
-	if e.cache != nil && (p.count > 1 || e.cfg.Resume) {
-		key := e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
-		var computedArt *shardArtifact
-		var computedHits int
-		payload, computed, err := e.cache.GetOrCompute(key, func() ([]byte, error) {
-			a, h, cerr := e.computeShard(p)
-			if cerr != nil {
-				return nil, cerr
-			}
-			computedArt, computedHits = a, h
-			return a.MarshalBinary()
-		})
-		if err != nil {
-			if computedArt != nil {
-				// The shard computed fine but refused to encode for the
-				// cache; a persistence failure never fails the run (same
-				// contract as the ignored PutBinary error before).
-				e.cfg.Metrics.Add("engine.shards_computed", 1)
-				return computedArt, false, computedHits, nil
-			}
-			return nil, false, 0, err
-		}
-		if computed {
-			e.cfg.Metrics.Add("engine.shards_computed", 1)
-			return computedArt, false, computedHits, nil
-		}
-		art := &shardArtifact{}
-		if uerr := art.UnmarshalBinary(payload); uerr == nil {
-			e.cfg.Metrics.Add("engine.shards_resumed", 1)
-			return art, true, 0, nil
-		}
-		// The entry passed the cache checksum but not the artifact
-		// decoder (a schema bump raced this run): discard it so it is
-		// never trusted again, and recompute below.
-		e.cache.Discard(key)
+	var key fcache.Key
+	if e.keys != nil {
+		key = e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
 	}
-	art, hits, err := e.computeShard(p)
+	art := &shardArtifact{}
+	hits := 0
+	loaded, err := loadOrCompute(e.cache, key, art, p.count > 1 || e.cfg.Resume, func() error {
+		a, h, err := e.computeShard(p)
+		if err != nil {
+			return err
+		}
+		*art, hits = *a, h
+		return nil
+	})
 	if err != nil {
 		return nil, false, 0, err
 	}
-	if e.cache != nil {
-		_ = e.cache.PutBinary(e.keys.shardKey(p.index, p.count, p.benches, len(p.refs)), art)
+	if loaded {
+		e.cfg.Metrics.Add("engine.shards_resumed", 1)
+		return art, true, 0, nil
 	}
 	e.cfg.Metrics.Add("engine.shards_computed", 1)
 	return art, false, hits, nil

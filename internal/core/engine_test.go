@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/fcache"
 	"repro/internal/obs"
 )
 
@@ -263,15 +266,21 @@ func TestWarmCacheAppendByteIdentical(t *testing.T) {
 }
 
 // TestCorruptStageArtifactRegenerates damages every cached artifact —
-// interval vectors and stage artifacts alike — and requires the resumed
-// rerun to recompute everything (visibly deleting the bad entries),
-// reproduce the result bit for bit, and heal the cache for the run after.
+// interval vectors, the pipeline's stage artifacts and a timeline
+// artifact alike — and requires the resumed reruns to recompute
+// everything (visibly deleting the bad entries), reproduce the results
+// bit for bit, and heal the cache for the runs after.
 func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	reg := miniRegistry(t)
+	b := reg.All()[1] // the two-phase benchmark
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
 	cfg.Resume = true
 	first, err := Run(reg, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstTL, err := AnalyzeTimeline(b, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +295,16 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt stage artifacts must regenerate, not fail: %v", err)
 	}
+	redoneTL, err := AnalyzeTimeline(b, damaged, 4)
+	if err != nil {
+		t.Fatalf("a corrupt timeline artifact must regenerate, not fail: %v", err)
+	}
 	rep := damaged.Metrics.Snapshot()
 	if got := rep.Counters["engine.stages_resumed"]; got != 0 {
 		t.Fatalf("run trusted %d corrupt stage artifacts", got)
+	}
+	if got := rep.Counters["engine.resumed.timeline"]; got != 0 {
+		t.Fatal("timeline analysis trusted its corrupt artifact")
 	}
 	if got := rep.Counters["engine.stages_computed"]; got != 5 {
 		t.Fatalf("run recomputed %d stages, want 5", got)
@@ -300,8 +316,16 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	if !bytes.Equal(exportJSON(t, first), exportJSON(t, redone)) {
 		t.Fatal("regeneration changed the exported result")
 	}
+	if firstTL.Strip() != redoneTL.Strip() {
+		t.Fatalf("regenerated timeline strip %q, want %q", redoneTL.Strip(), firstTL.Strip())
+	}
+	for i := range firstTL.Vectors.Data {
+		if math.Float64bits(firstTL.Vectors.Data[i]) != math.Float64bits(redoneTL.Vectors.Data[i]) {
+			t.Fatalf("timeline vector element %d differs after regeneration", i)
+		}
+	}
 
-	// The regenerating run rewrote every artifact: the next resume is whole.
+	// The regenerating runs rewrote every artifact: the next resume is whole.
 	healed := miniConfig()
 	healed.CacheDir = cfg.CacheDir
 	healed.Resume = true
@@ -309,8 +333,163 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	if _, err := Run(reg, healed, nil); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := AnalyzeTimeline(b, healed, 4); err != nil {
+		t.Fatal(err)
+	}
 	if got := healed.Metrics.Counter("engine.stages_resumed").Value(); got != 5 {
 		t.Fatalf("healed cache resumed %d stages, want 5", got)
+	}
+	if got := healed.Metrics.Counter("engine.resumed.timeline").Value(); got != 1 {
+		t.Fatalf("healed cache resumed %d timelines, want 1", got)
+	}
+}
+
+// TestConcurrentResumeComputesEachStageOnce releases four identical
+// resumed runs together over one cache directory and one collector.
+// Each of the five stages must be computed exactly once, the other runs
+// loading the winner's artifact (and counting the stage as resumed), and
+// every export must be byte-identical to a cache-less run.
+func TestConcurrentResumeComputesEachStageOnce(t *testing.T) {
+	reg := miniRegistry(t)
+	ref, err := Run(reg, miniConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON := exportJSON(t, ref)
+
+	const runs = 4
+	cacheDir := t.TempDir()
+	m := obs.New()
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var barrier, done sync.WaitGroup
+	barrier.Add(1)
+	for i := range runs {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			cfg := miniConfig()
+			cfg.CacheDir = cacheDir
+			cfg.Resume = true
+			cfg.Metrics = m
+			barrier.Wait()
+			results[i], errs[i] = Run(reg, cfg, nil)
+		}()
+	}
+	barrier.Done()
+	done.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !bytes.Equal(refJSON, exportJSON(t, results[i])) {
+			t.Fatalf("run %d: export differs from the cache-less run", i)
+		}
+	}
+	val := func(name string) int64 { return m.Counter(name).Value() }
+	if got := val("engine.stages_computed"); got != 5 {
+		t.Fatalf("engine.stages_computed = %d, want 5 (one compute per stage)", got)
+	}
+	if got := val("engine.stages_resumed"); got != 5*(runs-1) {
+		t.Fatalf("engine.stages_resumed = %d, want %d", got, 5*(runs-1))
+	}
+	for _, stage := range []string{"pca", "kmeans"} {
+		if got := val("engine.computed." + stage); got != 1 {
+			t.Fatalf("engine.computed.%s = %d, want 1", stage, got)
+		}
+	}
+}
+
+// testArtifact is a stageArtifact whose decoder can be told to refuse a
+// payload that passed the cache checksum (an artifact schema skew).
+type testArtifact struct {
+	data   []byte
+	refuse bool
+}
+
+func (a *testArtifact) MarshalBinary() ([]byte, error) {
+	return append([]byte(nil), a.data...), nil
+}
+
+func (a *testArtifact) UnmarshalBinary(data []byte) error {
+	if a.refuse {
+		return errors.New("test artifact: refusing payload")
+	}
+	a.data = append([]byte(nil), data...)
+	return nil
+}
+
+// TestLoadOrComputeDiscardsUndecodableEntry: an entry that passes the
+// cache checksum but not the artifact decoder is discarded (counted as
+// fcache.corrupt_deleted) and recomputed, and the recomputed artifact is
+// what the next lookup loads.
+func TestLoadOrComputeDiscardsUndecodableEntry(t *testing.T) {
+	cache, err := fcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	cache.SetMetrics(m)
+	key := fcache.Key{Kind: fcache.KindCluster, Version: artifactVersion(), Behavior: 7}
+	if err := cache.PutBinary(key, &testArtifact{data: []byte("fine bytes, wrong shape")}); err != nil {
+		t.Fatal(err)
+	}
+
+	art := &testArtifact{refuse: true}
+	computes := 0
+	loaded, err := loadOrCompute(cache, key, art, true, func() error {
+		computes++
+		art.data = []byte("recomputed")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded || computes != 1 {
+		t.Fatalf("undecodable entry: loaded=%v after %d computes, want a single recompute", loaded, computes)
+	}
+	if got := m.Counter("fcache.corrupt_deleted").Value(); got != 1 {
+		t.Fatalf("fcache.corrupt_deleted = %d, want 1", got)
+	}
+
+	next := &testArtifact{}
+	loaded, err = loadOrCompute(cache, key, next, true, func() error {
+		t.Fatal("the recomputed artifact was not persisted")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded || string(next.data) != "recomputed" {
+		t.Fatalf("next lookup: loaded=%v data=%q, want the recomputed artifact", loaded, next.data)
+	}
+}
+
+// TestLoadOrComputeWithoutLookup: without a cache the artifact is only
+// computed; with lookup off it is computed even over a stored entry, and
+// the stored entry is replaced.
+func TestLoadOrComputeWithoutLookup(t *testing.T) {
+	art := &testArtifact{}
+	compute := func() error { art.data = []byte("fresh"); return nil }
+	if loaded, err := loadOrCompute(nil, fcache.Key{}, art, true, compute); loaded || err != nil {
+		t.Fatalf("cache-less: loaded=%v err=%v", loaded, err)
+	}
+
+	cache, err := fcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := fcache.Key{Kind: fcache.KindPCA, Version: artifactVersion(), Behavior: 9}
+	if err := cache.PutBinary(key, &testArtifact{data: []byte("stale")}); err != nil {
+		t.Fatal(err)
+	}
+	art.data = nil
+	if loaded, err := loadOrCompute(cache, key, art, false, compute); loaded || err != nil {
+		t.Fatalf("lookup off: loaded=%v err=%v", loaded, err)
+	}
+	if got, ok := cache.Get(key); !ok || string(got) != "fresh" {
+		t.Fatalf("stored entry = (%q, %v), want the fresh compute", got, ok)
 	}
 }
 

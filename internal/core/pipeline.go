@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
+	"repro/internal/fcache"
 	"repro/internal/ga"
 	"repro/internal/kernel"
 	"repro/internal/stats"
@@ -138,7 +139,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	logf("characterized %d unique intervals (%d instructions total)", ds.UniqueIntervals, ds.Instructions)
 
 	var pca stats.PCA
-	if _, err := eng.stage("pca", eng.pcaKey(), &pca, ds.Raw.Rows, func() error {
+	if _, err := eng.stage("pca", eng.stageKey(fcache.KindPCA), &pca, ds.Raw.Rows, func() error {
 		span := cfg.Metrics.StartSpan("pca").SetRows(ds.Raw.Rows)
 		defer span.End()
 		p, err := stats.ComputePCA(ds.Raw, true)
@@ -152,7 +153,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	}
 
 	var scores stats.Matrix
-	if _, err := eng.stage("scores", eng.scoresKey(), &scores, ds.Raw.Rows, func() error {
+	if _, err := eng.stage("scores", eng.stageKey(fcache.KindScores), &scores, ds.Raw.Rows, func() error {
 		span := cfg.Metrics.StartSpan("scores").SetRows(ds.Raw.Rows)
 		defer span.End()
 		s, err := pca.RescaledScores(ds.Raw, pca.NumRetained(cfg.MinPCStd))
@@ -171,7 +172,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	// count (Validate resolved them above).
 	k := cfg.NumClusters
 	var cl cluster.Result
-	if _, err := eng.stage("kmeans", eng.clusterKey(), &cl, scores.Rows, func() error {
+	if _, err := eng.stage("kmeans", eng.stageKey(fcache.KindCluster), &cl, scores.Rows, func() error {
 		logf("k-means: k=%d over %d intervals in %d dimensions (%d restarts, %d workers)...",
 			k, scores.Rows, scores.Cols, max(1, cfg.KMeans.Restarts), cfg.Workers)
 		span := cfg.Metrics.StartSpan("kmeans").SetRows(scores.Rows).SetWorkers(cfg.Workers)
@@ -197,7 +198,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 		Clusters: &cl,
 	}
 	sum := &summaryArtifact{reg: reg}
-	if _, err := eng.stage("prominent", eng.summaryKey(), sum, len(cl.Assignments), func() error {
+	if _, err := eng.stage("prominent", eng.stageKey(fcache.KindSummary), sum, len(cl.Assignments), func() error {
 		span := cfg.Metrics.StartSpan("prominent").SetRows(len(cl.Assignments))
 		defer span.End()
 		sum.phases = res.summarizeProminent(cfg.NumProminent)

@@ -2,77 +2,37 @@ package fcache
 
 import (
 	"bytes"
-	"errors"
-	"os"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// blob is a minimal BinaryMarshaler/Unmarshaler for exercising the
-// structured-artifact entry points. failDecode simulates an artifact whose
-// stored payload no longer decodes (a schema drift the version field
-// missed, or in-payload corruption the checksum cannot see).
-type blob struct {
-	data       []byte
-	failDecode bool
-}
+// blob is a minimal BinaryMarshaler for exercising PutBinary.
+type blob struct{ data []byte }
 
 func (b *blob) MarshalBinary() ([]byte, error) {
 	return append([]byte(nil), b.data...), nil
 }
 
-func (b *blob) UnmarshalBinary(data []byte) error {
-	if b.failDecode {
-		return errors.New("blob: refusing payload")
-	}
-	b.data = append([]byte(nil), data...)
-	return nil
-}
-
+// TestBinaryRoundTrip: a structured artifact stored through PutBinary
+// reads back through Get as exactly its marshalled bytes.
 func TestBinaryRoundTrip(t *testing.T) {
 	c := testCache(t)
 	k := testKey()
 	k.Kind = KindPCA
-	var got blob
-	if c.GetBinary(k, &got) {
-		t.Fatal("empty cache returned a binary hit")
+	if _, ok := c.Get(k); ok {
+		t.Fatal("empty cache returned a hit")
 	}
 	in := &blob{data: []byte("structured artifact payload")}
 	if err := c.PutBinary(k, in); err != nil {
 		t.Fatal(err)
 	}
-	if !c.GetBinary(k, &got) {
+	got, ok := c.Get(k)
+	if !ok {
 		t.Fatal("stored artifact missed")
 	}
-	if !bytes.Equal(got.data, in.data) {
-		t.Fatalf("payload = %q, want %q", got.data, in.data)
-	}
-}
-
-// TestBinaryUndecodableEntryIsDeleted stores a valid entry whose payload
-// the unmarshaler rejects: GetBinary must miss AND remove the entry, so
-// the producing stage regenerates instead of failing forever.
-func TestBinaryUndecodableEntryIsDeleted(t *testing.T) {
-	c := testCache(t)
-	m := obs.New()
-	c.SetMetrics(m)
-	k := testKey()
-	k.Kind = KindCluster
-	if err := c.PutBinary(k, &blob{data: []byte("fine bytes, wrong shape")}); err != nil {
-		t.Fatal(err)
-	}
-	if c.GetBinary(k, &blob{failDecode: true}) {
-		t.Fatal("undecodable artifact reported as a hit")
-	}
-	if _, err := os.Stat(c.path(k)); !os.IsNotExist(err) {
-		t.Fatal("undecodable entry not removed")
-	}
-	if got := m.Counter("fcache.corrupt_deleted").Value(); got != 1 {
-		t.Fatalf("fcache.corrupt_deleted = %d, want 1", got)
-	}
-	if got := m.Counter("fcache.misses.cluster").Value(); got != 1 {
-		t.Fatalf("fcache.misses.cluster = %d, want 1", got)
+	if !bytes.Equal(got, in.data) {
+		t.Fatalf("payload = %q, want %q", got, in.data)
 	}
 }
 
@@ -110,14 +70,13 @@ func TestPerKindCounters(t *testing.T) {
 	k := testKey()
 	k.Kind = KindShard
 
-	var b blob
-	if c.GetBinary(k, &b) {
+	if _, ok := c.Get(k); ok {
 		t.Fatal("unexpected hit")
 	}
 	if err := c.PutBinary(k, &blob{data: []byte("shard bytes")}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.GetBinary(k, &b) {
+	if _, ok := c.Get(k); !ok {
 		t.Fatal("stored shard missed")
 	}
 

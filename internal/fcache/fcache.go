@@ -147,9 +147,9 @@ type Cache struct {
 	dir string
 	// root is the cleaned dir that entry paths are built under.
 	root string
-	// hot is the directory's shared in-memory payload tier (see hot.go);
-	// nil unless EnableHotTier was called for dir.
-	hot *hotTier
+	// hot is the directory's shared slot for its in-memory payload tier
+	// (see hot.go); the tier is nil unless EnableHotTier was called for dir.
+	hot *hotSlot
 
 	// Observability sinks, installed by SetMetrics. All are nil (no-op)
 	// by default, so the uninstrumented hot path pays only nil checks.
@@ -204,7 +204,7 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fcache: %w", err)
 	}
-	c := &Cache{dir: dir, root: filepath.Clean(dir), hot: hotFor(dir)}
+	c := &Cache{dir: dir, root: filepath.Clean(dir), hot: slotFor(dir)}
 	if _, seen := sweptDirs.LoadOrStore(dir, struct{}{}); !seen {
 		c.swept = sweepStaleTemps(dir)
 	}
@@ -281,6 +281,10 @@ func sweepStaleTemps(dir string) int64 {
 	})
 	return swept
 }
+
+// tier returns the directory's current hot tier, or nil when none is
+// enabled.
+func (c *Cache) tier() *hotTier { return c.hot.tier.Load() }
 
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
@@ -407,11 +411,12 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 // otherwise into scratch's backing array, grown only if the entry does
 // not fit, and the payload aliases it.
 func (c *Cache) get(k Key, scratch []byte) (payload []byte, ok bool) {
-	if p, ok := c.hot.get(k); ok {
+	hot := c.tier()
+	if p, ok := hot.get(k); ok {
 		c.hotHits.Inc()
 		return p, true
 	}
-	if c.hot != nil {
+	if hot != nil {
 		c.hotMisses.Inc()
 	}
 	var pathBuf [pathBufSize]byte
@@ -430,7 +435,7 @@ func (c *Cache) get(k Key, scratch []byte) (payload []byte, ok bool) {
 	payload, err = DecodeEntry(k, buf)
 	if err != nil {
 		os.Remove(string(p)) // never trust it again
-		c.hot.drop(k)
+		c.tier().drop(k)
 		c.corrupt.Inc()
 		if errors.Is(err, ErrVersionSkew) {
 			c.skew.Inc()
@@ -444,10 +449,7 @@ func (c *Cache) get(k Key, scratch []byte) (payload []byte, ok bool) {
 // warmHot populates the hot tier with a just-validated or just-written
 // payload and charges the movement to the handle's counters.
 func (c *Cache) warmHot(k Key, payload []byte) {
-	if c.hot == nil {
-		return
-	}
-	evicted, delta := c.hot.put(k, payload)
+	evicted, delta := c.tier().put(k, payload)
 	c.hotEvict.Add(int64(evicted))
 	c.hotBytes.Add(delta)
 }
@@ -487,7 +489,7 @@ func (c *Cache) Put(k Key, payload []byte) error {
 // entry must not be trusted again, exactly as if decode had failed.
 func (c *Cache) Discard(k Key) {
 	os.Remove(c.path(k))
-	c.hot.drop(k)
+	c.tier().drop(k)
 	c.corrupt.Inc()
 }
 
@@ -519,7 +521,7 @@ func (c *Cache) GetVectorInto(k Key, dst []float64) bool {
 	}
 	if len(payload) != 8*len(dst) {
 		os.Remove(c.path(k))
-		c.hot.drop(k)
+		c.tier().drop(k)
 		c.corrupt.Inc()
 		c.countMiss(k.Kind)
 		return false
@@ -545,26 +547,4 @@ func (c *Cache) PutBinary(k Key, v encoding.BinaryMarshaler) error {
 		return fmt.Errorf("fcache: encoding %s artifact: %w", KindName(k.Kind), err)
 	}
 	return c.Put(k, payload)
-}
-
-// GetBinary fetches a structured artifact into v. Any failure — absence,
-// truncation, checksum or key mismatch, or a payload v refuses to
-// unmarshal — is a miss; undecodable entries are deleted (and counted as
-// fcache.corrupt_deleted) so the producing stage regenerates them instead
-// of failing.
-func (c *Cache) GetBinary(k Key, v encoding.BinaryUnmarshaler) bool {
-	payload, ok := c.get(k, nil)
-	if !ok {
-		c.countMiss(k.Kind)
-		return false
-	}
-	if err := v.UnmarshalBinary(payload); err != nil {
-		os.Remove(c.path(k))
-		c.hot.drop(k)
-		c.corrupt.Inc()
-		c.countMiss(k.Kind)
-		return false
-	}
-	c.countHit(k.Kind)
-	return true
 }

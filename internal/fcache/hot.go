@@ -13,10 +13,14 @@ package fcache
 //
 // The tier is off by default — one-shot CLI runs keep their exact
 // cold/warm counter semantics — and is enabled per directory by the
-// characterization service via EnableHotTier before the first Open.
+// characterization service via EnableHotTier. Every Cache handle reaches
+// its directory's tier through one shared slot, so enabling, resizing or
+// removing the tier takes effect on handles already open.
 
 import (
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // hotOverhead approximates the per-entry bookkeeping bytes charged
@@ -39,9 +43,22 @@ type hotTier struct {
 	head, tail *hotEntry // head is most recently used
 }
 
-// hotTiers maps cache directory -> *hotTier, process-global so every
-// Cache handle on a directory shares one tier (and one budget).
-var hotTiers sync.Map
+// hotSlot is one cache directory's tier pointer, shared by every Cache
+// handle on the directory; nil while no tier is enabled.
+type hotSlot struct {
+	tier atomic.Pointer[hotTier]
+}
+
+// hotSlots maps filepath.Clean(dir) -> *hotSlot, process-global so every
+// Cache handle on a directory, however its path is spelled, shares one
+// tier (and one budget).
+var hotSlots sync.Map
+
+// slotFor returns dir's tier slot, creating it on first use.
+func slotFor(dir string) *hotSlot {
+	s, _ := hotSlots.LoadOrStore(filepath.Clean(dir), &hotSlot{})
+	return s.(*hotSlot)
+}
 
 // EnableHotTier installs an in-memory hot tier with the given byte
 // budget in front of the disk cache rooted at dir. It applies to every
@@ -49,26 +66,24 @@ var hotTiers sync.Map
 // removes the tier. Enabling is idempotent; re-enabling with a new
 // budget resizes (and, if needed, evicts down to) the new budget.
 func EnableHotTier(dir string, budget int64) {
+	slot := slotFor(dir)
 	if budget <= 0 {
-		hotTiers.Delete(dir)
+		slot.tier.Store(nil)
 		return
 	}
-	t := &hotTier{budget: budget, entries: make(map[Key]*hotEntry)}
-	if prev, loaded := hotTiers.LoadOrStore(dir, t); loaded {
-		pt := prev.(*hotTier)
-		pt.mu.Lock()
-		pt.budget = budget
-		pt.evictLocked(nil)
-		pt.mu.Unlock()
+	fresh := &hotTier{budget: budget, entries: make(map[Key]*hotEntry)}
+	for {
+		if t := slot.tier.Load(); t != nil {
+			t.mu.Lock()
+			t.budget = budget
+			t.evictLocked(nil)
+			t.mu.Unlock()
+			return
+		}
+		if slot.tier.CompareAndSwap(nil, fresh) {
+			return
+		}
 	}
-}
-
-// hotFor returns dir's hot tier, or nil when none is enabled.
-func hotFor(dir string) *hotTier {
-	if t, ok := hotTiers.Load(dir); ok {
-		return t.(*hotTier)
-	}
-	return nil
 }
 
 // unlink removes e from the LRU list.

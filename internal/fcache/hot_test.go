@@ -76,7 +76,7 @@ func TestHotTierEviction(t *testing.T) {
 		keys[i] = testKey()
 		keys[i].Seed = uint64(i)
 	}
-	tier := c.hot
+	tier := c.tier()
 
 	for i := 0; i < 3; i++ {
 		tier.put(keys[i], payload)
@@ -115,10 +115,10 @@ func TestHotTierOversizedPayload(t *testing.T) {
 	if err := c.Put(big, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.hot.get(big); ok {
+	if _, ok := c.tier().get(big); ok {
 		t.Fatal("oversized payload should not be resident")
 	}
-	if _, ok := c.hot.get(small); !ok {
+	if _, ok := c.tier().get(small); !ok {
 		t.Fatal("small entry should have survived the oversized Put")
 	}
 }
@@ -135,7 +135,7 @@ func TestHotTierDropOnCorrupt(t *testing.T) {
 	if _, ok := c.GetVector(k, 7); ok {
 		t.Fatal("wrong-size vector should miss")
 	}
-	if _, ok := c.hot.get(k); ok {
+	if _, ok := c.tier().get(k); ok {
 		t.Fatal("hot tier retained a payload whose disk entry was deleted as corrupt")
 	}
 	if _, ok := c.Get(k); ok {
@@ -143,12 +143,11 @@ func TestHotTierDropOnCorrupt(t *testing.T) {
 	}
 }
 
-// TestHotTierDisabled: budget <= 0 removes the tier; reads fall back to
-// disk and Cache handles opened before the disable see it too (shared
-// per-dir tier, nil-safe accessors).
+// TestHotTierDisabledByDefault: a plain Open has no tier, and reads and
+// writes go to disk alone.
 func TestHotTierDisabledByDefault(t *testing.T) {
 	c := testCache(t) // plain Open, no EnableHotTier
-	if c.hot != nil {
+	if c.tier() != nil {
 		t.Fatal("hot tier should be off by default")
 	}
 	k := testKey()
@@ -172,11 +171,69 @@ func TestHotTierResize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.hot.bytes(); got != 4*per {
+	if got := c.tier().bytes(); got != 4*per {
 		t.Fatalf("resident bytes = %d, want %d", got, 4*per)
 	}
 	EnableHotTier(c.Dir(), 2*per)
-	if got := c.hot.bytes(); got > 2*per {
+	if got := c.tier().bytes(); got > 2*per {
 		t.Fatalf("resize did not evict: %d bytes resident, budget %d", got, 2*per)
+	}
+}
+
+// TestHotTierReachesOpenHandles: a handle opened before the first
+// EnableHotTier uses the tier from then on, and stops using it once the
+// tier is removed.
+func TestHotTierReachesOpenHandles(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { EnableHotTier(dir, 0) })
+	EnableHotTier(dir, 1<<20)
+	k := testKey()
+	if err := c.Put(k, []byte("after enable")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.tier().get(k); !ok {
+		t.Fatal("a handle opened before EnableHotTier did not populate the tier")
+	}
+
+	EnableHotTier(dir, 0)
+	if c.tier() != nil {
+		t.Fatal("a handle opened before the tier was removed still holds it")
+	}
+	k.Seed++
+	if err := c.Put(k, []byte("after disable")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(c.path(k)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Fatal("a removed tier still served an entry whose disk copy is gone")
+	}
+}
+
+// TestHotTierSharedAcrossPathSpellings: the tier is keyed by the cleaned
+// directory, so "dir" and "dir/" name one tier.
+func TestHotTierSharedAcrossPathSpellings(t *testing.T) {
+	dir := t.TempDir()
+	EnableHotTier(dir+"/", 1<<20)
+	t.Cleanup(func() { EnableHotTier(dir, 0) })
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.tier() == nil || a.tier() != b.tier() {
+		t.Fatalf("tiers for %q and %q differ: %p vs %p", dir, dir+"/", a.tier(), b.tier())
+	}
+	EnableHotTier(dir, 0)
+	if b.tier() != nil {
+		t.Fatal("removing the tier under one spelling left it under the other")
 	}
 }

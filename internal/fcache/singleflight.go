@@ -6,7 +6,10 @@ package fcache
 // burn a full compute, and only the last rename's bytes survive — which
 // is fine for correctness (all writers produce identical bytes) and
 // terrible for a multi-tenant service where tenants routinely submit the
-// same job. GetOrCompute closes that gap at two levels:
+// same job. GetOrCompute closes that gap for every artifact the pipeline
+// reads back (dataset shards, PCA models, score matrices, clusterings,
+// summaries and timelines all reach it through core's one load-or-compute
+// path) at two levels:
 //
 //   - per-key in-process singleflight: concurrent goroutines (service
 //     jobs) asking for one key elect a leader; the rest wait and read
@@ -18,6 +21,10 @@ package fcache
 //     is taken over, and a waiter bounded out of patience computes
 //     anyway. The worst failure mode is a duplicate compute (exactly
 //     today's behavior), never a deadlock and never wrong bytes.
+//
+// A new leader re-reads the entry once its claim is staked: a previous
+// leader that finished between this caller's miss and its claim has
+// already stored the entry, and computing it again would be waste.
 
 import (
 	"os"
@@ -113,6 +120,12 @@ func (c *Cache) computeAsLeader(k Key, path string, compute func() ([]byte, erro
 		cf, err := os.OpenFile(claim, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
 			cf.Close()
+			if p, ok := c.get(k, nil); ok {
+				os.Remove(claim)
+				c.countHit(k.Kind)
+				c.sfShared.Inc()
+				return p, false, nil
+			}
 			stop := refreshClaim(claim)
 			payload, cerr := compute()
 			if cerr == nil {

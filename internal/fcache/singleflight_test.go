@@ -224,6 +224,27 @@ func TestGetOrComputeStaleClaimTakeover(t *testing.T) {
 }
 
 // TestGetOrComputeDistinctKeys: different keys do not serialize behind
+// TestLeaderRereadsUnderClaim: a caller that missed, then became leader
+// after the previous leader stored the entry and released its claim,
+// serves that entry instead of computing it again.
+func TestLeaderRereadsUnderClaim(t *testing.T) {
+	c := testCache(t)
+	k := testKey()
+	if err := c.Put(k, []byte("stored by the previous leader")); err != nil {
+		t.Fatal(err)
+	}
+	p, computed, err := c.computeAsLeader(k, c.path(k), func() ([]byte, error) {
+		t.Fatal("leader recomputed an entry already stored")
+		return nil, nil
+	})
+	if err != nil || computed || string(p) != "stored by the previous leader" {
+		t.Fatalf("computeAsLeader = (%q, %v, %v), want the stored entry", p, computed, err)
+	}
+	if _, err := os.Stat(c.path(k) + claimSuffix); !os.IsNotExist(err) {
+		t.Fatalf("claim file left behind (stat err = %v)", err)
+	}
+}
+
 // one another's flights.
 func TestGetOrComputeDistinctKeys(t *testing.T) {
 	c := testCache(t)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo verification gate: build, vet, the full test suite, vet and tests
 # of the perfbench module, the race detector over every package, the
-# corpus-snapshot and service-retention concurrency tests repeated under
+# corpus-snapshot, service-retention and concurrent-run tests repeated under
 # the race detector, short fuzz runs over every binary decoder, the shard-merge/resume
 # equivalence check on the quick pipeline, the warm-cache append
 # byte-identity gate, the distributed loopback gate (networked workers
@@ -52,15 +52,17 @@ echo "== perfbench: vet and test (its own module)"
 echo "== go test -race ./..."
 go test -race -count=1 ./...
 
-echo "== corpus snapshot and service retention concurrency (-race -count=10)"
-# Lock-free corpus reads and bounded job retention are interleaving
-# properties: a parked scan that must not block writers or change its
-# answer, racing probed queries on the lazy IVF build, two handles on
-# one directory, and the service soak. Repeat them so a rare schedule
-# has ten chances to show.
+echo "== corpus snapshot, service retention and concurrent-run concurrency (-race -count=10)"
+# Lock-free corpus reads, bounded job retention and one compute per
+# stage across concurrent identical runs are interleaving properties: a
+# parked scan that must not block writers or change its answer, racing
+# probed queries on the lazy IVF build, two handles on one directory,
+# the service soak, and four resumed runs released together over one
+# cache. Repeat them so a rare schedule has ten chances to show.
 go test -race -count=10 \
   -run '^(TestParkedScanDoesNotBlock|TestConcurrentProbedQueries|TestHandlesShareOneDirectory)$' ./internal/corpus/
 go test -race -count=10 -run '^TestSoakBoundedRetention$' ./internal/serve/
+go test -race -count=10 -run '^TestConcurrentResumeComputesEachStageOnce$' ./internal/core/
 
 echo "== distributed shard tests -race at pinned worker counts"
 # The distributed invariant must hold at any compute parallelism; pin it
@@ -232,6 +234,19 @@ cmp "$tmp/single.json" "$tmp/svc_full.json"
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
   -suites "$six" submit > "$tmp/svc_six_warm.json"
 cmp "$tmp/six.json" "$tmp/svc_six_warm.json"
+# Seed 0 is a valid seed, but a job spec reads it as the default (1):
+# the submit target must refuse it, with a reason, rather than silently
+# running seed 1.
+if "$tmp/phasechar" -server "http://$saddr" -quick -quiet -seed 0 submit \
+  > /dev/null 2> "$tmp/seed0.err"; then
+  echo "service gate: '-seed 0 submit' exited zero" >&2
+  exit 1
+fi
+if ! grep -q "seed 0" "$tmp/seed0.err"; then
+  echo "service gate: '-seed 0 submit' failed without saying why:" >&2
+  cat "$tmp/seed0.err" >&2
+  exit 1
+fi
 # Inline tenant models: a job shipping the emerging-era suite inline
 # must export byte-identically to the same roster run locally via
 # -models (invalid models are covered by the serve tests: 400 at submit).
