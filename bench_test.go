@@ -227,36 +227,33 @@ func BenchmarkMICACharacterization(b *testing.B) {
 }
 
 // BenchmarkPPMGroup prices the twelve PPM predictors the way the analyzer
-// runs them: the four standard groups replay one default-length interval's
-// branch outcomes block by block through RecordAll, with a Reset per
+// runs them: the four standard groups each replay one default-length
+// interval's branch outcomes in a single RecordAll, with a Reset per
 // interval.
 func BenchmarkPPMGroup(b *testing.B) {
-	batches := defaultInterval(b, "SPECint2006/astar")
-	var outcomes [][]ppm.Outcome
-	instrs := 0
-	for _, blk := range batches {
+	for _, name := range []string{"SPECfp2006/lbm", "BioPerf/grappa", "SPECint2006/astar"} {
 		var outs []ppm.Outcome
-		for i := range blk {
-			if blk[i].Op.IsConditional() {
-				outs = append(outs, ppm.Outcome{PC: blk[i].PC, Taken: blk[i].Taken})
+		instrs := 0
+		for _, blk := range defaultInterval(b, name) {
+			for i := range blk {
+				if blk[i].Op.IsConditional() {
+					outs = append(outs, ppm.Outcome{PC: blk[i].PC, Taken: blk[i].Taken})
+				}
 			}
+			instrs += len(blk)
 		}
-		outcomes = append(outcomes, outs)
-		instrs += len(blk)
-	}
-	groups := ppm.StandardGroups()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for g := range groups {
-			groups[g].Reset()
-		}
-		for _, outs := range outcomes {
-			for g := range groups {
-				groups[g].RecordAll(outs)
+		b.Run(name, func(b *testing.B) {
+			groups := ppm.StandardGroups()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for g := range groups {
+					groups[g].Reset()
+					groups[g].RecordAll(outs)
+				}
 			}
-		}
+			reportPerInstr(b, instrs)
+		})
 	}
-	reportPerInstr(b, instrs)
 }
 
 // BenchmarkILPAnalyzer prices the four ideal-window ILP models on one

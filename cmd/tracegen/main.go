@@ -156,6 +156,7 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 	nw := par.Workers(workers)
 	span := m.StartSpan("generate").SetRows(total).SetWorkers(nw)
 	analyzers := make([]*mica.Analyzer, nw)
+	batches := make([][]isa.Instruction, nw)
 	par.ForWorker(nw, total, func(w, i int) {
 		beh := b.BehaviorAt(i, total)
 		seed := b.IntervalSeed(i)
@@ -172,15 +173,18 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 				analyzer.Reset()
 			}
 		}
+		if batches[w] == nil {
+			batches[w] = make([]isa.Instruction, trace.DefaultBatchSize)
+		}
 		tw := trace.NewWriter(&bufs[i])
 		var werr error
-		err := trace.GenerateInterval(beh, seed, perInterval,
-			func(ins *isa.Instruction) {
-				if werr == nil {
-					werr = tw.Write(ins)
+		err := trace.GenerateIntervalBatches(beh, seed, perInterval, batches[w],
+			func(batch []isa.Instruction) {
+				for j := 0; j < len(batch) && werr == nil; j++ {
+					werr = tw.Write(&batch[j])
 				}
 				if analyzer != nil {
-					analyzer.Record(ins)
+					analyzer.RecordBatch(batch)
 				}
 			})
 		switch {

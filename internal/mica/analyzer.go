@@ -59,7 +59,12 @@ type Analyzer struct {
 	transPairs   uint64
 	lastOutcome  u64Map // PC -> 0/1 last outcome
 	predictors   []ppm.Group
-	outcomes     []ppm.Outcome // batch-mode staging buffer, reused
+	// outcomes stages the conditional branches the predictors have not
+	// seen yet, in stream order. They are replayed through each predictor
+	// group at VectorInto, or early once maxStagedOutcomes accumulate, so
+	// each order's table is swept once per interval rather than once per
+	// block.
+	outcomes []ppm.Outcome
 
 	// Fast paths: last-seen instruction block/page (instruction fetch is
 	// highly sequential, so most table probes can be skipped).
@@ -67,6 +72,11 @@ type Analyzer struct {
 	lastInstrPage  uint64
 	haveInstr      bool
 }
+
+// maxStagedOutcomes bounds the staged branch outcomes: far above one
+// default interval's conditional branches, so an interval replays in one
+// go, while an aggregate analyzer fed a whole program stays bounded.
+const maxStagedOutcomes = 1 << 14
 
 // NewAnalyzer returns a ready-to-use analyzer.
 func NewAnalyzer() *Analyzer {
@@ -124,6 +134,7 @@ func (a *Analyzer) Reset() {
 	a.transitions = 0
 	a.transPairs = 0
 	a.lastOutcome.Clear()
+	a.outcomes = a.outcomes[:0]
 	for i := range a.predictors {
 		a.predictors[i].Reset()
 	}
@@ -133,25 +144,18 @@ func (a *Analyzer) Reset() {
 // RecordBatch accounts a block of dynamically executed instructions, in
 // order. It is the hot-path entry point of the batched generate→measure
 // kernel and is equivalent to calling Record on each instruction: the
-// scalar statistics, the ILP window models and the branch predictors
-// observe disjoint state, so running them as separate passes over the
-// batch — each with its working set resident — cannot change any result.
+// scalar statistics and the ILP window models observe disjoint state, so
+// running them as separate passes over the batch — each with its working
+// set resident — cannot change any result. The block's conditional
+// branches join the staged outcomes, which the predictors replay at
+// VectorInto (see outcomes), so mixing Record and RecordBatch keeps
+// stream order.
 func (a *Analyzer) RecordBatch(batch []isa.Instruction) {
 	if len(batch) == 0 {
 		return
 	}
-	a.outcomes = a.outcomes[:0]
 	for i := range batch {
-		ins := &batch[i]
-		a.recordScalar(ins)
-		if ins.Op.IsConditional() {
-			a.outcomes = append(a.outcomes, ppm.Outcome{PC: ins.PC, Taken: ins.Taken})
-		}
-	}
-	if len(a.outcomes) > 0 {
-		for i := range a.predictors {
-			a.predictors[i].RecordAll(a.outcomes)
-		}
+		a.recordScalar(&batch[i])
 	}
 	a.ilp.RecordBatch(batch)
 }
@@ -159,17 +163,24 @@ func (a *Analyzer) RecordBatch(batch []isa.Instruction) {
 // Record accounts one dynamically executed instruction.
 func (a *Analyzer) Record(ins *isa.Instruction) {
 	a.recordScalar(ins)
-	if ins.Op.IsConditional() {
-		for i := range a.predictors {
-			a.predictors[i].Record(ins.PC, ins.Taken)
-		}
-	}
 	a.ilp.Record(ins)
 }
 
-// recordScalar accounts everything except the ILP models and the PPM
-// predictors: instruction mix, footprints, register traffic, strides and
-// raw branch statistics.
+// replayOutcomes runs the staged branch outcomes through every predictor
+// group and empties the stage.
+func (a *Analyzer) replayOutcomes() {
+	if len(a.outcomes) == 0 {
+		return
+	}
+	for i := range a.predictors {
+		a.predictors[i].RecordAll(a.outcomes)
+	}
+	a.outcomes = a.outcomes[:0]
+}
+
+// recordScalar accounts everything except the ILP models: instruction
+// mix, footprints, register traffic, strides and raw branch statistics,
+// and it stages conditional branches for the PPM predictors.
 func (a *Analyzer) recordScalar(ins *isa.Instruction) {
 	a.opCounts[ins.Op]++
 
@@ -243,6 +254,10 @@ func (a *Analyzer) recordScalar(ins *isa.Instruction) {
 				a.transitions++
 			}
 		}
+		a.outcomes = append(a.outcomes, ppm.Outcome{PC: ins.PC, Taken: ins.Taken})
+		if len(a.outcomes) == maxStagedOutcomes {
+			a.replayOutcomes()
+		}
 	}
 
 	a.total++
@@ -298,8 +313,10 @@ func (a *Analyzer) Vector() []float64 {
 }
 
 // VectorInto is Vector writing into v, which must hold NumMetrics
-// elements.
+// elements. It first replays the staged branch outcomes through the
+// predictors; recording may continue afterwards.
 func (a *Analyzer) VectorInto(v []float64) {
+	a.replayOutcomes()
 	clear(v)
 	if a.total == 0 {
 		return

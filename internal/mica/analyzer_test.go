@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mica/ppm"
 )
 
 func TestMetricRegistry(t *testing.T) {
@@ -363,5 +364,105 @@ func TestPaperKeyCharacteristics(t *testing.T) {
 		if !cats[want] {
 			t.Fatalf("paper key set missing category %v", want)
 		}
+	}
+}
+
+// stagingStream is a deterministic instruction stream in which about half
+// the instructions are conditional branches over 64 PCs, the rest loads,
+// stores and register arithmetic, so every metric family sees work.
+func stagingStream(n int) []isa.Instruction {
+	out := make([]isa.Instruction, n)
+	x := uint64(11)
+	for i := range out {
+		x = x*6364136223846793005 + 1442695040888963407
+		r := uint8(1 + x>>20%16)
+		pc := 0x400000 + x>>32%64*4
+		switch x >> 60 % 4 {
+		case 0, 1:
+			out[i] = isa.Instruction{PC: pc, Op: isa.OpBranchCond, Taken: x>>40%3 != 0 || i%5 == 0}
+		case 2:
+			out[i] = isa.Instruction{PC: pc, Op: isa.OpLoad, Dst: r, Src: [isa.MaxSrcRegs]uint8{r + 1}, NSrc: 1, Addr: x >> 24 % (1 << 20)}
+		default:
+			out[i] = isa.Instruction{PC: pc, Op: isa.OpIntAdd, Dst: r, Src: [isa.MaxSrcRegs]uint8{r, r + 2}, NSrc: 2}
+		}
+	}
+	return out
+}
+
+// TestStagedOutcomesMatchPredictors pins the analyzer's branch-outcome
+// staging: Record and RecordBatch interleaved in uneven chunks, Vector
+// read mid-interval with recording carrying on, and more conditional
+// branches than maxStagedOutcomes, so the stage also replays early. At
+// every Vector the twelve PPM metrics must equal one independent
+// ppm.Predictor per standard configuration fed the same outcomes, and the
+// other 57 metrics must be bit-identical to an analyzer fed block by
+// block through RecordBatch alone. A Reset with outcomes still staged
+// must discard them.
+func TestStagedOutcomesMatchPredictors(t *testing.T) {
+	stream := stagingStream(4 * maxStagedOutcomes)
+
+	mixed := NewAnalyzer()
+	// Outcomes staged before a Reset must not reach the predictors.
+	feed(mixed, stagingStream(1000))
+	mixed.Reset()
+
+	var preds []*ppm.Predictor
+	for _, cfg := range ppm.StandardConfigs() {
+		p, err := ppm.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, p)
+	}
+	block := NewAnalyzer()
+	// pending counts the branches since the last Vector; longest is its
+	// maximum, which must pass the stage's bound.
+	vectors, pending, longest := 0, 0, 0
+	for lo, step := 0, 0; lo < len(stream); step++ {
+		hi := min(lo+1+step*997%7000, len(stream))
+		chunk := stream[lo:hi]
+		if step%3 == 0 {
+			feed(mixed, chunk)
+		} else {
+			mixed.RecordBatch(chunk)
+		}
+		for i := range chunk {
+			if chunk[i].Op.IsConditional() {
+				pending++
+				for _, p := range preds {
+					p.Record(chunk[i].PC, chunk[i].Taken)
+				}
+			}
+		}
+		lo = hi
+		if step != 1 && step != 5 && lo < len(stream) {
+			continue
+		}
+		longest, pending = max(longest, pending), 0
+		// The per-block control sees the same prefix in 4096-instruction
+		// blocks from a fresh analyzer.
+		block.Reset()
+		for b := 0; b < lo; b += 4096 {
+			block.RecordBatch(stream[b:min(b+4096, lo)])
+		}
+		got, want := mixed.Vector(), block.Vector()
+		vectors++
+		for i := range got {
+			if i >= IdxPPM && i < IdxPPM+len(preds) {
+				if r := preds[i-IdxPPM].MissRate(); got[i] != r {
+					t.Fatalf("after %d instructions: %s = %v, independent predictor %v",
+						lo, Metrics()[i].Name, got[i], r)
+				}
+				continue
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("after %d instructions: %s = %v, per-block path %v",
+					lo, Metrics()[i].Name, got[i], want[i])
+			}
+		}
+	}
+	if vectors != 3 || longest <= maxStagedOutcomes {
+		t.Fatalf("compared %d vectors, at most %d branches apart; want 3, more than %d apart",
+			vectors, longest, maxStagedOutcomes)
 	}
 }

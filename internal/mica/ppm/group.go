@@ -2,8 +2,8 @@ package ppm
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Outcome is one resolved conditional branch, the unit of work for
@@ -23,10 +23,16 @@ type Outcome struct {
 // configured length from it — identical results to independent Predictor
 // instances at a fraction of the cost.
 //
-// Entry storage is one direct-mapped slab laid out order-major: order o's
-// table is slab[o<<tableBits : (o+1)<<tableBits], so each RecordAll order
-// pass sweeps only its own table (64 KiB at the defaults) instead of
-// hashing every order across one shared structure.
+// Counters live in one []uint32 slab, order-major, in one of two layouts.
+// The hashed layout gives order o the direct-mapped table
+// slab[o<<tableBits : (o+1)<<tableBits] (64 KiB at the defaults). The
+// dense layout serves global-table variants (GAg, PAg) whose longest
+// history fits the table (maxHist <= tableBits): there order o's index
+// depends on its o-bit context alone, so each of the 2^o contexts maps
+// once to a class — the contexts whose hashed slots collide share one —
+// and the order keeps one counter per class, about 8K counters in all at
+// the defaults instead of 13 tables. Both layouts alias exactly as the
+// reference Predictor does. RecordAll sweeps one order's table at a time.
 type Group struct {
 	histScope  Scope
 	tableScope Scope
@@ -36,13 +42,18 @@ type Group struct {
 	mask      uint64
 	tableBits uint
 
-	// slab holds the packed counters (taken<<16 | total) of every order's
-	// table, order-major, unpadded: (maxHist+1)<<tableBits entries.
-	// stale marks it as holding a previous interval's counters: Reset
-	// defers the clear to the next RecordAll, which clears each order's
-	// table just before that order's pass, while the table is in cache.
-	slab  []uint32
-	stale bool
+	// slab holds the packed counters (taken<<16 | total) of every order,
+	// order-major; table(o) is order o's part. classes is nil in the
+	// hashed layout; in the dense layout classes[o][ctx] is the counter of
+	// order-o context ctx within table(o), and base[o] is where table(o)
+	// starts. stale marks the slab as holding a previous interval's
+	// counters: Reset defers the clear to the next RecordAll, which clears
+	// each order's table just before that order's pass, while the table
+	// is in cache.
+	slab    []uint32
+	classes [][]uint32
+	base    []int
+	stale   bool
 
 	globalHist uint64
 	localHist  []uint64
@@ -52,16 +63,15 @@ type Group struct {
 	misses      []uint64 // per length
 
 	// RecordAll staging (reused across batches): per-outcome history, pc
-	// hash term and taken bit (pre-widened to the counter increment so the
-	// order passes never re-derive it), and per-outcome bit sets filled by
-	// the order passes: bit o+1 of seenBuf is set if order o's entry had
-	// been seen, and then bit o+1 of predBuf holds its prediction. Bit 0
-	// of both is set: the predicted-taken default below order 0.
+	// hash term (never written for global tables, so zero) and taken bit,
+	// and the
+	// running prediction the order passes refine: after order o's pass,
+	// predBuf[i] is outcome i's prediction at the longest order <= o that
+	// had seen its context, or taken if none had.
 	histBuf  []uint64
 	pcBuf    []uint64
-	takenBuf []uint16
-	seenBuf  []uint64
-	predBuf  []uint64
+	takenBuf []uint8
+	predBuf  []uint8
 }
 
 // NewGroup builds a grouped predictor for the given history lengths
@@ -81,15 +91,27 @@ func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group
 	if tableBits < 4 || tableBits > 24 {
 		return nil, fmt.Errorf("ppm: table bits %d out of [4,24]", tableBits)
 	}
+	maxHist := ls[len(ls)-1]
 	g := &Group{
 		histScope:  histScope,
 		tableScope: tableScope,
 		lengths:    ls,
-		maxHist:    ls[len(ls)-1],
+		maxHist:    maxHist,
 		mask:       1<<uint(tableBits) - 1,
 		tableBits:  uint(tableBits),
 		misses:     make([]uint64, len(ls)),
-		slab:       make([]uint32, (ls[len(ls)-1]+1)<<uint(tableBits)),
+	}
+	if tableScope == Global && maxHist <= tableBits {
+		g.classes = make([][]uint32, maxHist+1)
+		g.base = make([]int, maxHist+2)
+		for o := range g.classes {
+			var n int
+			g.classes[o], n = contextClasses(uint(tableBits), o)
+			g.base[o+1] = g.base[o] + n
+		}
+		g.slab = make([]uint32, g.base[maxHist+1])
+	} else {
+		g.slab = make([]uint32, (maxHist+1)<<uint(tableBits))
 	}
 	if histScope == PerAddress {
 		const localBits = 10
@@ -97,6 +119,57 @@ func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group
 		g.localMask = 1<<localBits - 1
 	}
 	return g, nil
+}
+
+// classCache holds each (tableBits, order) context-class map, built once
+// and shared read-only by every dense group.
+var classCache struct {
+	sync.Mutex
+	m map[[2]uint]classMap
+}
+
+type classMap struct {
+	ids []uint32 // ids[ctx] is the class of order-o context ctx
+	n   int      // number of classes
+}
+
+// contextClasses returns the class of every order-o context under a global
+// table of 1<<tableBits entries, and the number of classes: contexts
+// share a class exactly when the reference Predictor hashes them to the
+// same slot. Classes are numbered by their smallest context.
+func contextClasses(tableBits uint, o int) ([]uint32, int) {
+	classCache.Lock()
+	defer classCache.Unlock()
+	key := [2]uint{tableBits, uint(o)}
+	if c, ok := classCache.m[key]; ok {
+		return c.ids, c.n
+	}
+	mask := uint64(1)<<tableBits - 1
+	ids := make([]uint32, 1<<uint(o))
+	bySlot := make(map[uint64]uint32)
+	for ctx := range ids {
+		slot := mix64(uint64(ctx)<<6^uint64(o)) & mask
+		id, ok := bySlot[slot]
+		if !ok {
+			id = uint32(len(bySlot))
+			bySlot[slot] = id
+		}
+		ids[ctx] = id
+	}
+	if classCache.m == nil {
+		classCache.m = make(map[[2]uint]classMap)
+	}
+	classCache.m[key] = classMap{ids, len(bySlot)}
+	return ids, len(bySlot)
+}
+
+// table returns order o's counters.
+func (g *Group) table(o int) []uint32 {
+	if g.classes != nil {
+		return g.slab[g.base[o]:g.base[o+1]]
+	}
+	size := 1 << g.tableBits
+	return g.slab[o*size : (o+1)*size]
 }
 
 // Lengths returns the configured history lengths, ascending.
@@ -117,82 +190,22 @@ func (g *Group) Reset() {
 }
 
 // Record predicts the branch at pc at every configured history length,
-// then updates the shared tables with the outcome.
+// then updates the shared tables with the outcome: a one-outcome
+// RecordAll.
 func (g *Group) Record(pc uint64, taken bool) {
-	if g.stale {
-		clear(g.slab)
-		g.stale = false
-	}
-	hist := &g.globalHist
-	var pcTerm uint64
-	if g.histScope == PerAddress || g.tableScope == PerAddress {
-		h := mix64(pc)
-		if g.histScope == PerAddress {
-			hist = &g.localHist[h&g.localMask]
-		}
-		if g.tableScope == PerAddress {
-			pcTerm = h << 1
-		}
-	}
-	g.record(*hist, pcTerm, taken)
-
-	*hist = *hist << 1
-	if taken {
-		*hist |= 1
-	}
-	g.predictions++
-}
-
-// record runs the fused predict+update pass for one branch. A single
-// descending sweep is equivalent to the predict-then-update split: each
-// order's entries are disjoint (the order is part of the index), so when
-// order o is visited only orders above it have been updated and its entry
-// still holds the pre-update counts every prediction must read.
-func (g *Group) record(hist, pcTerm uint64, taken bool) {
-	lengths := g.lengths
-	misses := g.misses
-	pending := len(lengths) - 1
-	for o := g.maxHist; o >= 0; o-- {
-		ctx := hist & (1<<uint(o) - 1)
-		idx := uint64(o)<<g.tableBits + (mix64(ctx<<6^uint64(o)^pcTerm) & g.mask)
-		e := g.slab[idx]
-		taken16, total16 := uint16(e>>16), uint16(e)
-
-		if total16 != 0 {
-			pred := 2*uint32(taken16) >= uint32(total16)
-			for pending >= 0 && lengths[pending] >= o {
-				if pred != taken {
-					misses[pending]++
-				}
-				pending--
-			}
-		}
-
-		if total16 == entryMax {
-			taken16 /= 2
-			total16 /= 2
-		}
-		total16++
-		if taken {
-			taken16++
-		}
-		g.slab[idx] = uint32(taken16)<<16 | uint32(total16)
-	}
-	// Cutoffs that found no seen context at any order default to taken.
-	for ; pending >= 0; pending-- {
-		if !taken {
-			misses[pending]++
-		}
-	}
+	one := [1]Outcome{{PC: pc, Taken: taken}}
+	g.RecordAll(one[:])
 }
 
 // RecordAll replays a batch of branch outcomes in order, equivalent to
-// calling Record on each outcome but restructured order-major: the
-// per-outcome history and pc term are staged once, then the whole batch
-// sweeps the orders one at a time. The reordering is invisible: within an
-// order, outcomes are replayed in stream order (so every read sees
-// exactly the updates scalar processing would have applied), and
-// different orders index disjoint entries.
+// predicting and updating each outcome in turn at every order but
+// restructured order-major: the per-outcome history and pc term are
+// staged once, then the whole batch sweeps the orders one at a time. The
+// reordering is invisible: within an order, outcomes are replayed in
+// stream order (so every read sees exactly the updates outcome-by-outcome
+// processing would have applied), and different orders index disjoint
+// entries. The longer the batch, the more outcomes share each sweep of an
+// order's table.
 func (g *Group) RecordAll(outcomes []Outcome) {
 	n := len(outcomes)
 	if n == 0 {
@@ -201,20 +214,17 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 	if cap(g.histBuf) < n {
 		g.histBuf = make([]uint64, n)
 		g.pcBuf = make([]uint64, n)
-		g.takenBuf = make([]uint16, n)
-		g.seenBuf = make([]uint64, n)
-		g.predBuf = make([]uint64, n)
+		g.takenBuf = make([]uint8, n)
+		g.predBuf = make([]uint8, n)
 	}
-	hists := g.histBuf[:n]
-	pcs := g.pcBuf[:n]
-	takens := g.takenBuf[:n]
-	seen, pred := g.seenBuf[:n], g.predBuf[:n]
+	hists, pcs := g.histBuf[:n], g.pcBuf[:n]
+	takens, preds := g.takenBuf[:n], g.predBuf[:n]
+	perAddrTables := g.tableScope == PerAddress
 
 	// Stage each outcome's pre-update history and pc hash term, advancing
-	// the history state exactly as scalar Record would.
+	// the history state outcome by outcome.
 	switch {
 	case g.histScope == PerAddress:
-		perAddrTables := g.tableScope == PerAddress
 		for i := range outcomes {
 			o := &outcomes[i]
 			h := mix64(o.PC)
@@ -222,23 +232,23 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 			hists[i] = *slot
 			if perAddrTables {
 				pcs[i] = h << 1
-			} else {
-				pcs[i] = 0
 			}
-			t := uint16(0)
+			t := uint8(0)
 			if o.Taken {
 				t = 1
 			}
 			takens[i] = t
 			*slot = *slot<<1 | uint64(t)
 		}
-	case g.tableScope == PerAddress:
+	default:
 		hist := g.globalHist
 		for i := range outcomes {
 			o := &outcomes[i]
 			hists[i] = hist
-			pcs[i] = mix64(o.PC) << 1
-			t := uint16(0)
+			if perAddrTables {
+				pcs[i] = mix64(o.PC) << 1
+			}
+			t := uint8(0)
 			if o.Taken {
 				t = 1
 			}
@@ -246,82 +256,94 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 			hist = hist<<1 | uint64(t)
 		}
 		g.globalHist = hist
-	default: // GAg
-		hist := g.globalHist
-		for i := range outcomes {
-			hists[i] = hist
-			pcs[i] = 0
-			t := uint16(0)
-			if outcomes[i].Taken {
-				t = 1
-			}
-			takens[i] = t
-			hist = hist<<1 | uint64(t)
-		}
-		g.globalHist = hist
 	}
 
-	for i := range seen {
-		seen[i], pred[i] = 1, 1
+	for i := range preds {
+		preds[i] = 1
 	}
-	for o := g.maxHist; o >= 0; o-- {
-		g.recordOrder(o, takens, hists, pcs, seen, pred)
+	// Ascending, so each pass leaves every outcome's prediction at the
+	// longest seen order so far: after order l's pass, exactly the
+	// prediction of the history-l predictor.
+	for o := 0; o <= g.maxHist; o++ {
+		tbl := g.table(o)
+		if g.stale {
+			clear(tbl)
+		}
+		var miss uint64
+		if g.classes != nil {
+			miss = recordDense(tbl, g.classes[o], takens, hists, preds, uint(o))
+		} else {
+			miss = g.recordHashed(tbl, o, takens, hists, pcs, preds)
+		}
+		for q, l := range g.lengths {
+			if l == o {
+				g.misses[q] += miss
+			}
+		}
 	}
 	g.stale = false
-	// Each length predicts from its longest seen order (the default if
-	// none): the highest set bit of seen at or below it.
-	for q, l := range g.lengths {
-		within := uint64(1)<<uint(l+2) - 1
-		var miss uint64
-		for i := range takens {
-			at := bits.Len64(seen[i]&within) - 1
-			miss += pred[i]>>uint(at)&1 ^ uint64(takens[i])
-		}
-		g.misses[q] += miss
-	}
 	g.predictions += uint64(n)
 }
 
-// recordOrder runs one order's predict+update pass over a staged batch,
-// touching only that order's table. It records whether each outcome's
-// entry had been seen and, if so, its prediction; RecordAll resolves the
-// predictions per history length once every order has run.
-func (g *Group) recordOrder(o int, takens []uint16, hists, pcs, seen, pred []uint64) {
-	size := 1 << g.tableBits
-	tbl := g.slab[o*size : (o+1)*size]
-	if g.stale {
-		clear(tbl)
+// update applies one outcome to a counter. It returns the outcome's
+// running prediction — the counter's own (taken on a tie) if the counter
+// had seen an outcome, else pred unchanged — and the counter's new value,
+// both counts halved first when the total would overflow.
+func update(pred uint8, e uint32, taken uint8) (uint8, uint32) {
+	taken16, total16 := uint16(e>>16), uint16(e)
+	var s, p uint8
+	if total16 != 0 {
+		s = 1
 	}
+	if 2*uint32(taken16) >= uint32(total16) {
+		p = 1
+	}
+	pred ^= (pred ^ p) & s
+	if total16 == entryMax {
+		taken16 /= 2
+		total16 /= 2
+	}
+	return pred, uint32(taken16+uint16(taken))<<16 | uint32(total16+1)
+}
+
+// recordHashed runs one order's predict+update pass over a staged batch
+// in the hashed layout, touching only that order's table: it refines each
+// outcome's running prediction and returns how many of the refined
+// predictions miss.
+func (g *Group) recordHashed(tbl []uint32, o int, takens []uint8, hists, pcs []uint64, preds []uint8) uint64 {
 	m := g.mask
 	_ = tbl[m] // proves every tbl[x&m] in bounds, so the loop has no bounds checks
 	n := len(takens)
-	hists, pcs, seen, pred = hists[:n], pcs[:n], seen[:n], pred[:n]
+	hists, pcs, preds = hists[:n], pcs[:n], preds[:n]
 	ctxMask := uint64(1)<<uint(o) - 1
 	oTerm := uint64(o)
-	bit := uint(o + 1)
-	for i := range takens {
+	var miss uint64
+	for i, t := range takens {
 		slot := &tbl[mix64((hists[i]&ctxMask)<<6^oTerm^pcs[i])&m]
-		e := *slot
-		taken16, total16 := uint16(e>>16), uint16(e)
-
-		var s, p uint64
-		if total16 != 0 {
-			s = 1
-		}
-		if 2*uint32(taken16) >= uint32(total16) {
-			p = 1
-		}
-		seen[i] |= s << bit
-		pred[i] |= p << bit
-
-		if total16 == entryMax {
-			taken16 /= 2
-			total16 /= 2
-		}
-		total16++
-		taken16 += takens[i]
-		*slot = uint32(taken16)<<16 | uint32(total16)
+		p, next := update(preds[i], *slot, t)
+		preds[i] = p
+		miss += uint64(p ^ t)
+		*slot = next
 	}
+	return miss
+}
+
+// recordDense is recordHashed for the dense layout: order o's counter is
+// found through the context's class, with no hashing.
+func recordDense(tbl, classes []uint32, takens []uint8, hists []uint64, preds []uint8, o uint) uint64 {
+	ctxMask := uint64(1)<<o - 1
+	_ = classes[ctxMask] // every classes[x&ctxMask] in bounds
+	n := len(takens)
+	hists, preds = hists[:n], preds[:n]
+	var miss uint64
+	for i, t := range takens {
+		slot := &tbl[classes[hists[i]&ctxMask]]
+		p, next := update(preds[i], *slot, t)
+		preds[i] = p
+		miss += uint64(p ^ t)
+		*slot = next
+	}
+	return miss
 }
 
 // MissRates returns the misprediction rate per configured history length,

@@ -2,6 +2,7 @@ package ppm
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -209,8 +210,9 @@ func outcomeStream(seed uint64, n int) []Outcome {
 	return out
 }
 
-// TestGroupRecordAllMatchesRecord pins RecordAll to the scalar path for
-// every variant: same outcomes, same miss rates, same prediction count.
+// TestGroupRecordAllMatchesRecord pins RecordAll's chunking for every
+// variant: Record (a one-outcome RecordAll) and uneven RecordAll chunks
+// over the same outcomes give the same miss rates and prediction count.
 func TestGroupRecordAllMatchesRecord(t *testing.T) {
 	stream := outcomeStream(99, 5000)
 	scalar := StandardGroups()
@@ -329,16 +331,19 @@ func TestGroupName(t *testing.T) {
 }
 
 // TestGroupMatchesReferenceUnderAliasing drives each standard variant's
-// Group through RecordAll against independent reference Predictors, at the
-// default table size and at 16-entry tables. Three quarters of the
-// stream is one hot branch, taken 70,000 times and then never, so its
-// order-0 entry passes entryMax and halves: a halving off by one moves the
-// point where its history-0 prediction turns to not-taken, which the
-// groups carry beside the standard lengths 4, 8 and 12. The rest spreads
-// over 4096 branches, enough distinct contexts that every order's table
-// aliases at 16 entries (the global-table orders that have fewer than 16
-// contexts excepted). A Reset and a second interval follow on the same
-// groups.
+// Group through RecordAll against independent reference Predictors in
+// both counter layouts: hashed tables (every variant at 16-entry tables,
+// and the per-address-table variants throughout) and dense context
+// classes (the global-table variants at 256-entry tables with histories
+// up to 8, and at the default table size). Three quarters of the stream
+// is one hot branch, taken 70,000 times and then never, so its order-0
+// entry passes entryMax and halves: a halving off by one moves the point
+// where its history-0 prediction turns to not-taken, which the groups
+// carry beside the standard lengths. The rest spreads over 4096 branches,
+// enough distinct contexts that every order's table aliases at 16 and 256
+// entries (the global-table orders that have at most 16 contexts
+// excepted), so dense classes shared by colliding contexts are exercised.
+// A Reset and a second interval follow on the same groups.
 func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
 	const n = 150_000
 	outs := make([]Outcome, n)
@@ -353,15 +358,27 @@ func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
 		}
 		outs[i] = Outcome{PC: 0x400000 + (x>>40)%4096*4, Taken: (x>>61)&1 == 1 || x%3 == 0}
 	}
-	for _, tableBits := range []int{4, 0} {
+	cases := []struct {
+		tableBits int
+		lengths   []int
+	}{
+		{4, []int{0, 4, 8, 12}},
+		{8, []int{0, 4, 8}},
+		{0, []int{0, 4, 8, 12}},
+	}
+	for _, c := range cases {
+		maxLen := c.lengths[len(c.lengths)-1]
 		var groups []*Group
 		for _, cfg := range StandardConfigs() {
 			if cfg.MaxHistory != 12 {
 				continue
 			}
-			g, err := NewGroup(cfg.HistoryScope, cfg.TableScope, []int{0, 4, 8, 12}, tableBits)
+			g, err := NewGroup(cfg.HistoryScope, cfg.TableScope, c.lengths, c.tableBits)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if dense := g.tableScope == Global && maxLen <= int(g.tableBits); (g.classes != nil) != dense {
+				t.Fatalf("tableBits %d %s: dense layout %v, want %v", c.tableBits, g.Name(), g.classes != nil, dense)
 			}
 			groups = append(groups, g)
 		}
@@ -375,16 +392,12 @@ func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
 				}
 			}
 			for _, g := range groups {
-				var sum uint64
-				for _, e := range g.slab[:1<<g.tableBits] {
-					sum += uint64(uint16(e))
-				}
-				if sum >= n {
+				if sum := order0Total(g); sum >= n {
 					t.Fatalf("tableBits %d %s: order-0 totals sum to %d of %d outcomes; no entry halved",
-						tableBits, g.Name(), sum, n)
+						c.tableBits, g.Name(), sum, n)
 				}
 				for li, h := range g.Lengths() {
-					cfg := Config{HistoryScope: g.histScope, TableScope: g.tableScope, MaxHistory: h, TableBits: tableBits}
+					cfg := Config{HistoryScope: g.histScope, TableScope: g.tableScope, MaxHistory: h, TableBits: c.tableBits}
 					ref := mustNew(t, cfg)
 					// aliased[o] records whether two distinct contexts of
 					// order o shared a table entry.
@@ -393,7 +406,7 @@ func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
 					for o := range owner {
 						owner[o] = map[uint64][2]uint64{}
 					}
-					checkAlias := tableBits != 0 && h == 12 && round == 0
+					checkAlias := c.tableBits != 0 && h == maxLen && round == 0
 					for i, out := range outs {
 						if checkAlias && i < 20_000 {
 							hist := *ref.history(out.PC)
@@ -415,17 +428,68 @@ func TestGroupMatchesReferenceUnderAliasing(t *testing.T) {
 					}
 					if got, want := g.MissRates()[li], ref.MissRate(); got != want {
 						t.Fatalf("tableBits %d round %d %s-%d: miss rate %v, reference %v",
-							tableBits, round, g.Name(), h, got, want)
+							c.tableBits, round, g.Name(), h, got, want)
 					}
 					if !checkAlias {
 						continue
 					}
 					for o, a := range aliased {
 						if !a && (g.tableScope == PerAddress || o >= 5) {
-							t.Fatalf("%s order %d: no two contexts aliased; test is vacuous", g.Name(), o)
+							t.Fatalf("tableBits %d %s order %d: no two contexts aliased; test is vacuous",
+								c.tableBits, g.Name(), o)
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// order0Total sums the order-0 entries' outcome totals, whichever
+// counter layout the group uses.
+func order0Total(g *Group) uint64 {
+	var sum uint64
+	for _, e := range g.table(0) {
+		sum += uint64(uint16(e))
+	}
+	return sum
+}
+
+// TestDenseGroupsConcurrentConstruction builds dense groups from several
+// goroutines at once, as characterize's workers do with their analyzers:
+// the shared context-class maps must be built once, race-free, and serve
+// every group identically.
+func TestDenseGroupsConcurrentConstruction(t *testing.T) {
+	stream := outcomeStream(5, 4000)
+	const workers = 6
+	rates := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g, err := NewGroup(PerAddress, Global, []int{4, 8, 12}, 12+w%3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g.RecordAll(stream)
+			rates[w] = g.MissRates()
+		}(w)
+	}
+	wg.Wait()
+	for w, got := range rates {
+		g, err := NewGroup(PerAddress, Global, []int{4, 8, 12}, 12+w%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.classes == nil {
+			t.Fatalf("tableBits %d: group is not dense", 12+w%3)
+		}
+		g.RecordAll(stream)
+		for i, r := range g.MissRates() {
+			if got == nil || got[i] != r {
+				t.Fatalf("worker %d: concurrently built group's miss rates %v, sequential %v", w, got, g.MissRates())
 			}
 		}
 	}

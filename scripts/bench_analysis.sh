@@ -25,9 +25,10 @@
 # The per-layer benchmarks of the characterization kernel run separately
 # at the time-based layer-benchtime (default 1s), each reporting ns/instr
 # over default-length intervals: TraceGeneration (the generator alone),
-# MICACharacterization (generate + RecordBatch), PPMGroup (the four
-# predictor groups' RecordAll) and ILPAnalyzer (the ILP windows'
-# RecordBatch).
+# MICACharacterization (generate + RecordBatch + Vector), PPMGroup (the
+# four predictor groups, each replaying a whole interval's branch
+# outcomes in one RecordAll, as the analyzer does at Vector; for lbm,
+# grappa and astar) and ILPAnalyzer (the ILP windows' RecordBatch).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -75,7 +76,7 @@ END {
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the interval-vector cache, each vector read straight into the dataset. Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch). BenchmarkCharacterizeAppend/{cold,warm} is an interleaved pair: warm restores an N-1 baseline cache off the clock, then times a plain full-roster run over it; the reported cached-vectors proves the baseline vectors came from the cache. BenchmarkFig1GASweep builds a fresh Env per iteration, so it prices the whole figure, characterization included, as phasechar fig1 costs a user. The per-layer kernel benchmarks (TraceGeneration, MICACharacterization, PPMGroup, ILPAnalyzer) run at a time-based benchtime and report ns/instr over default-length (20,000-instruction) intervals, resetting per interval. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
+    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the interval-vector cache, each vector read straight into the dataset. Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch). BenchmarkCharacterizeAppend/{cold,warm} is an interleaved pair: warm restores an N-1 baseline cache off the clock, then times a plain full-roster run over it; the reported cached-vectors proves the baseline vectors came from the cache. BenchmarkFig1GASweep builds a fresh Env per iteration, so it prices the whole figure, characterization included, as phasechar fig1 costs a user. The per-layer kernel benchmarks (TraceGeneration, MICACharacterization, PPMGroup, ILPAnalyzer) run at a time-based benchtime and report ns/instr over default-length (20,000-instruction) intervals, resetting per interval. PPMGroup replays the conditional branches of each interval in one RecordAll per group, as the analyzer stages them and replays them at Vector; GAg and PAg use dense context-class counters, GAs and PAs the hashed order-major slab. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= count; i++)
         printf "%s%s\n", rows[i], (i < count ? "," : "")

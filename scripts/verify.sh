@@ -2,7 +2,8 @@
 # Repo verification gate: build, vet, the full test suite, vet and tests
 # of the perfbench module, the race detector over every package, the
 # corpus-snapshot, service-retention and concurrent-run tests repeated under
-# the race detector, short fuzz runs over every binary decoder, the shard-merge/resume
+# the race detector, short fuzz runs over every binary decoder and the PPM
+# group replay, the shard-merge/resume
 # equivalence check on the quick pipeline, the warm-cache append
 # byte-identity gate, the distributed loopback gate (networked workers
 # with injected faults and a mid-run worker kill), the workload-model
@@ -52,17 +53,18 @@ echo "== perfbench: vet and test (its own module)"
 echo "== go test -race ./..."
 go test -race -count=1 ./...
 
-echo "== corpus snapshot, service retention and concurrent-run concurrency (-race -count=10)"
+echo "== corpus snapshot, service retention, concurrent-run and PPM class-map concurrency (-race -count=10)"
 # Lock-free corpus reads, bounded job retention and one compute per
 # stage across concurrent identical runs are interleaving properties: a
 # parked scan that must not block writers or change its answer, racing
 # probed queries on the lazy IVF build, two handles on one directory,
-# the service soak, and four resumed runs released together over one
-# cache. Repeat them so a rare schedule has ten chances to show.
+# the service soak, four resumed runs released together over one cache,
+# and the PPM context-class maps that concurrently built analyzers share. Repeat them so a rare schedule has ten chances to show.
 go test -race -count=10 \
   -run '^(TestParkedScanDoesNotBlock|TestConcurrentProbedQueries|TestHandlesShareOneDirectory)$' ./internal/corpus/
 go test -race -count=10 -run '^TestSoakBoundedRetention$' ./internal/serve/
 go test -race -count=10 -run '^TestConcurrentResumeComputesEachStageOnce$' ./internal/core/
+go test -race -count=10 -run '^TestDenseGroupsConcurrentConstruction$' ./internal/mica/ppm/
 
 echo "== distributed shard tests -race at pinned worker counts"
 # The distributed invariant must hold at any compute parallelism; pin it
@@ -72,9 +74,11 @@ SHARD_TESTS='^Test(FaultMatrix|WorkerDeath|DatasetMismatch|Distribute|JitterSeed
 SHARD_TEST_WORKERS=1 go test -race -count=1 -run "$SHARD_TESTS" ./internal/serve/
 SHARD_TEST_WORKERS=4 go test -race -count=1 -run "$SHARD_TESTS" ./internal/serve/
 
-echo "== fuzz decoders (${FUZZ_BUDGET:-2s} each)"
+echo "== fuzz targets (${FUZZ_BUDGET:-2s} each)"
 # Every decoder that reads bytes from disk or the network: errors, never
-# panics. FUZZ_BUDGET raises the per-target budget for deeper local runs.
+# panics. FuzzGroupRecordAll holds the PPM groups' order-major replay, in
+# both counter layouts, to independent reference predictors. FUZZ_BUDGET
+# raises the per-target budget for deeper local runs.
 while read -r target pkg; do
   go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZ_BUDGET:-2s}" "$pkg" > /dev/null
 done <<'EOF'
@@ -88,6 +92,7 @@ FuzzEntry ./internal/fcache/
 FuzzDecodeModels ./internal/bench/
 FuzzCorpusSegment ./internal/corpus/
 FuzzCorpusManifest ./internal/corpus/
+FuzzGroupRecordAll ./internal/mica/ppm/
 EOF
 
 echo "== allocation gate (BenchmarkCharacterizeCached)"
