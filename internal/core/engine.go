@@ -221,17 +221,20 @@ func (e *engine) computeShard(p shardPlan) (*shardArtifact, int, error) {
 	}
 	art := &shardArtifact{instructions: instructions}
 	// refs are contiguous per benchmark, and dedup preserves first
-	// appearance, so work is grouped by benchmark too.
+	// appearance, so work is grouped by benchmark too, and each
+	// benchmark's vectors are a contiguous block of rows: the artifact
+	// views them in place rather than copying the shard's vectors.
 	for i := 0; i < len(work); {
 		id := work[i].Bench.ID()
 		j := i
 		for j < len(work) && work[j].Bench.ID() == id {
 			j++
 		}
-		sb := shardBench{id: id, indices: make([]int, 0, j-i), vectors: stats.NewMatrix(j-i, mica.NumMetrics)}
+		sb := shardBench{id: id, indices: make([]int, 0, j-i), vectors: &stats.Matrix{
+			Rows: j - i, Cols: mica.NumMetrics, Data: vectors.Data[i*mica.NumMetrics : j*mica.NumMetrics],
+		}}
 		for r := i; r < j; r++ {
 			sb.indices = append(sb.indices, work[r].Index)
-			copy(sb.vectors.Row(r-i), vectors.Row(r))
 		}
 		art.benches = append(art.benches, sb)
 		i = j

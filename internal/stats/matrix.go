@@ -146,15 +146,20 @@ func (m *Matrix) NormalizeInPlace() ColumnStats {
 // pre-sized dst using the provided column statistics.
 func (m *Matrix) normalizeInto(dst *Matrix, cs *ColumnStats) {
 	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		out := dst.Row(i)
-		for j, v := range src {
-			d := v - cs.Mean[j]
-			if cs.Std[j] > 0 {
-				d /= cs.Std[j]
-			}
-			out[j] = d
+		normalizeRow(dst.Row(i), m.Row(i), cs)
+	}
+}
+
+// normalizeRow writes src centered (and, where cs.Std > 0, scaled) into
+// dst: the one definition of a normalized value, so every path that
+// normalizes agrees bit for bit.
+func normalizeRow(dst, src []float64, cs *ColumnStats) {
+	for j, v := range src {
+		d := v - cs.Mean[j]
+		if cs.Std[j] > 0 {
+			d /= cs.Std[j]
 		}
+		dst[j] = d
 	}
 }
 
@@ -162,33 +167,50 @@ func (m *Matrix) normalizeInto(dst *Matrix, cs *ColumnStats) {
 // columns.
 func (m *Matrix) Covariance() *Matrix {
 	cov := NewMatrix(m.Cols, m.Cols)
-	var cs ColumnStats
-	m.covarianceInto(cov, &cs)
+	m.covarianceInto(cov, nil, make([]float64, m.Cols), nil)
 	return cov
 }
 
-// covarianceInto is Covariance into the pre-sized cov matrix, with cs as
-// reused scratch for the internal column statistics.
-func (m *Matrix) covarianceInto(cov *Matrix, cs *ColumnStats) {
-	m.columnMeansStdsInto(cs)
-	p := m.Cols
-	for i := range cov.Data {
-		cov.Data[i] = 0
+// covarianceInto is Covariance into the pre-sized cov matrix, of m's
+// columns as normalizeInto(in) would leave them, or of m itself when in
+// is nil. Normalized rows are produced one at a time into row (Cols
+// long), so the normalized copy of m is never held: each value is the
+// one normalizeInto would store, and the result is bit-identical to the
+// covariance of that copy. mean (Cols long) is scratch for the column
+// means.
+func (m *Matrix) covarianceInto(cov *Matrix, in *ColumnStats, mean, row []float64) {
+	at := func(i int) []float64 {
+		if in == nil {
+			return m.Row(i)
+		}
+		normalizeRow(row, m.Row(i), in)
+		return row
 	}
+	p := m.Cols
+	clear(cov.Data)
+	clear(mean)
 	if m.Rows == 0 {
 		return
 	}
-	n := float64(m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+		for j, v := range at(i) {
+			mean[j] += v
+		}
+	}
+	n := float64(m.Rows)
+	for j := range mean {
+		mean[j] /= n
+	}
+	for i := 0; i < m.Rows; i++ {
+		r := at(i)
 		for a := 0; a < p; a++ {
-			da := row[a] - cs.Mean[a]
+			da := r[a] - mean[a]
 			if da == 0 {
 				continue
 			}
 			base := a * p
 			for b := a; b < p; b++ {
-				cov.Data[base+b] += da * (row[b] - cs.Mean[b])
+				cov.Data[base+b] += da * (r[b] - mean[b])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -289,5 +290,50 @@ func TestPCAEigenvalueTieBreak(t *testing.T) {
 		if math.Float64bits(pca.Components.Data[i]) != math.Float64bits(again.Components.Data[i]) {
 			t.Fatalf("repeated PCA differs at component element %d", i)
 		}
+	}
+}
+
+// TestNormalizedCovarianceMatchesCopy pins the row-at-a-time covariance
+// PCA runs on: bit for bit the covariance of the materialized normalized
+// copy, including a constant column (centered, not scaled).
+func TestNormalizedCovarianceMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMatrix(300, 6)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = rng.NormFloat64() * float64(1+j*j)
+		}
+		row[3] = 2.5
+		row[4] = 3*row[0] + rng.Float64()
+	}
+	norm, cs := m.Normalize()
+	want := norm.Covariance()
+	got := NewMatrix(m.Cols, m.Cols)
+	m.covarianceInto(got, &cs, make([]float64, m.Cols), make([]float64, m.Cols))
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("covariance element %d: %v, want %v (the normalized copy's)", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestComputePCAHoldsNoDataCopy: PCA allocates O(Cols^2), not a
+// normalized copy of its Rows x Cols input, so it does not add a second
+// copy of the pipeline's dataset to the live heap.
+func TestComputePCAHoldsNoDataCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewMatrix(4000, 40)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ComputePCA(m, true); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d, size := after.TotalAlloc-before.TotalAlloc, uint64(8*len(m.Data)); d >= size/4 {
+		t.Fatalf("ComputePCA allocated %d bytes for a %d-byte input, want < %d", d, size, size/4)
 	}
 }

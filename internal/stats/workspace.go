@@ -41,12 +41,12 @@ func growMatrixInto(m *Matrix, rows, cols int) *Matrix { return GrowMatrix(m, ro
 // workspace; a workspace must not be used concurrently.
 type PCAWorkspace struct {
 	sel      *Matrix
-	work     *Matrix
 	cov      *Matrix
 	scores   *Matrix
 	rescaled *Matrix
 	inCS     ColumnStats
-	covCS    ColumnStats
+	covMean  []float64
+	row      []float64
 	scoreCS  ColumnStats
 	jw       jacobiWork
 	order    []int
@@ -83,20 +83,20 @@ func (w *PCAWorkspace) ComputePCA(data *Matrix, normalize bool) (*PCA, error) {
 	if data.Cols < 1 {
 		return nil, fmt.Errorf("stats: PCA needs at least 1 column")
 	}
-	w.work = growMatrixInto(w.work, data.Rows, data.Cols)
 	data.columnMeansStdsInto(&w.inCS)
 	if !normalize {
 		// Center only (PCA is defined on centered data): a unit std
-		// makes normalizeInto divide by exactly 1, a no-op bit for bit.
+		// makes the normalization divide by exactly 1, a no-op bit for bit.
 		for j := range w.inCS.Std {
 			w.inCS.Std[j] = 1
 		}
 	}
-	data.normalizeInto(w.work, &w.inCS)
 
 	p := data.Cols
 	w.cov = growMatrixInto(w.cov, p, p)
-	w.work.covarianceInto(w.cov, &w.covCS)
+	w.covMean = growFloats(w.covMean, p)
+	w.row = growFloats(w.row, p)
+	data.covarianceInto(w.cov, &w.inCS, w.covMean, w.row)
 	if err := jacobiEigenInto(w.cov, 200, 1e-12, &w.jw); err != nil {
 		return nil, err
 	}
